@@ -10,6 +10,7 @@ use zcover::{
     ZCoverReport,
 };
 use zwave_controller::testbed::{DeviceModel, Testbed};
+use zwave_controller::HomeNetwork;
 use zwave_radio::SimInstant;
 
 use crate::paperdata;
@@ -17,7 +18,7 @@ use crate::render;
 
 /// Runs the full three-phase ZCover pipeline against one device model.
 /// Returns the report plus the testbed for oracle inspection.
-pub fn run_zcover(model: DeviceModel, fuzz: Duration, seed: u64) -> (ZCoverReport, Testbed) {
+pub fn run_zcover(model: DeviceModel, fuzz: Duration, seed: u64) -> (ZCoverReport, HomeNetwork) {
     let mut tb = Testbed::new(model, seed);
     let mut zcover = ZCover::attach(&tb, 70.0);
     let report = zcover

@@ -39,11 +39,7 @@ use crate::{ZCover, ZCoverError};
 /// do not share trial seeds (campaign 7 trial 0 vs campaign 6 trial 1),
 /// so sweeps over campaign seeds never silently rerun the same trial.
 pub fn derive_trial_seed(campaign_seed: u64, trial: u64) -> u64 {
-    let mut z =
-        campaign_seed.wrapping_add(trial.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    zwave_radio::splitmix64(campaign_seed.wrapping_add(trial.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// Where (and how) a multi-trial run records its traces: each trial gets

@@ -928,8 +928,12 @@ mod tests {
     use crate::discovery::UnknownDiscovery;
     use crate::passive::PassiveScanner;
     use zwave_controller::testbed::{DeviceModel, Testbed};
+    use zwave_controller::HomeNetwork;
 
-    fn prepare(model: DeviceModel, seed: u64) -> (Testbed, Dongle, ScanReport, DiscoveryReport) {
+    fn prepare(
+        model: DeviceModel,
+        seed: u64,
+    ) -> (HomeNetwork, Dongle, ScanReport, DiscoveryReport) {
         let mut tb = Testbed::new(model, seed);
         let mut passive = PassiveScanner::new(tb.medium(), 70.0);
         tb.exchange_normal_traffic();

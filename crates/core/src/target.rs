@@ -7,7 +7,6 @@
 //! each finding ([`FuzzTarget::take_faults`]), and the between-trial
 //! factory reset.
 
-use zwave_controller::testbed::Testbed;
 use zwave_controller::{FaultRecord, HomeNetwork, NodeRecord, LOCK_NODE};
 use zwave_protocol::nif::BasicDeviceType;
 use zwave_protocol::{CommandClassId, NodeId};
@@ -67,70 +66,6 @@ pub trait FuzzTarget {
     }
 }
 
-/// The scenario preconditions, shared by every target with a
-/// [`SimController`](zwave_controller::SimController) inside.
-fn prepare_scenario_on(controller: &mut zwave_controller::SimController, scenario: Scenario) {
-    match scenario {
-        Scenario::None => {}
-        // S0-No-More presumes a battery device that is *included* in
-        // the controller's NVM but currently offline (radio off
-        // between wakeups) — the identity the attacker spoofs.
-        Scenario::S0NoMore => {
-            let mut ghost = NodeRecord::new(GHOST_NODE, BasicDeviceType::Slave);
-            ghost.generic = 0x20; // binary sensor
-            ghost.listening = false;
-            ghost.offline = true;
-            ghost.wakeup_interval_s = Some(4000);
-            ghost.supported = vec![
-                CommandClassId(0x30),
-                CommandClassId::BATTERY,
-                CommandClassId::WAKE_UP,
-                CommandClassId::SECURITY_0,
-            ];
-            controller.nvm_mut().insert(ghost);
-            // Committed so mid-campaign factory restores (bug
-            // recovery) keep the record: the premise of the attack,
-            // not state the attack created.
-            controller.commit_factory_state();
-        }
-        // Crushing-the-Wave presumes a re-inclusion of the S2 lock
-        // is in progress (the window the attacker races).
-        Scenario::CrushingTheWave => {
-            controller.arm_reinclusion(LOCK_NODE);
-        }
-    }
-}
-
-impl FuzzTarget for Testbed {
-    fn medium(&self) -> &Medium {
-        Testbed::medium(self)
-    }
-
-    fn pump(&mut self) {
-        Testbed::pump(self);
-    }
-
-    fn take_faults(&mut self) -> Vec<FaultRecord> {
-        self.controller_mut().take_new_faults()
-    }
-
-    fn restore(&mut self) {
-        self.controller_mut().restore_factory();
-    }
-
-    fn generate_normal_traffic(&mut self) {
-        self.exchange_normal_traffic();
-    }
-
-    fn coverage_edges(&self) -> u64 {
-        Testbed::coverage_edges(self)
-    }
-
-    fn prepare_scenario(&mut self, scenario: Scenario) {
-        prepare_scenario_on(self.controller_mut(), scenario);
-    }
-}
-
 impl FuzzTarget for HomeNetwork {
     fn medium(&self) -> &Medium {
         HomeNetwork::medium(self)
@@ -157,26 +92,39 @@ impl FuzzTarget for HomeNetwork {
     }
 
     fn prepare_scenario(&mut self, scenario: Scenario) {
-        prepare_scenario_on(self.controller_mut(), scenario);
+        let controller = self.controller_mut();
+        match scenario {
+            Scenario::None => {}
+            // S0-No-More presumes a battery device that is *included* in
+            // the controller's NVM but currently offline (radio off
+            // between wakeups) — the identity the attacker spoofs.
+            Scenario::S0NoMore => {
+                let mut ghost = NodeRecord::new(GHOST_NODE, BasicDeviceType::Slave);
+                ghost.generic = 0x20; // binary sensor
+                ghost.listening = false;
+                ghost.offline = true;
+                ghost.wakeup_interval_s = Some(4000);
+                ghost.supported = vec![
+                    CommandClassId(0x30),
+                    CommandClassId::BATTERY,
+                    CommandClassId::WAKE_UP,
+                    CommandClassId::SECURITY_0,
+                ];
+                controller.nvm_mut().insert(ghost);
+                // Committed so mid-campaign factory restores (bug
+                // recovery) keep the record: the premise of the attack,
+                // not state the attack created.
+                controller.commit_factory_state();
+            }
+            // Crushing-the-Wave presumes a re-inclusion of the S2 lock
+            // is in progress (the window the attacker races).
+            Scenario::CrushingTheWave => {
+                controller.arm_reinclusion(LOCK_NODE);
+            }
+        }
     }
 
     fn injection_route(&self) -> Option<Vec<NodeId>> {
         HomeNetwork::injection_route(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use zwave_controller::DeviceModel;
-
-    #[test]
-    fn testbed_implements_fuzz_target() {
-        let mut tb = Testbed::new(DeviceModel::D1, 3);
-        let t: &mut dyn FuzzTarget = &mut tb;
-        t.generate_normal_traffic();
-        t.pump();
-        assert!(t.take_faults().is_empty());
-        t.restore();
     }
 }

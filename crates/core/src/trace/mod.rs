@@ -46,6 +46,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use zwave_controller::testbed::{DeviceModel, Testbed};
+use zwave_controller::HomeNetwork;
 use zwave_radio::sched::{Event, EventKind, EventObserver};
 use zwave_radio::{ImpairmentProfile, Medium, SimClock, SimScheduler};
 
@@ -481,7 +482,7 @@ pub struct RecordedCampaign {
     /// The three-phase pipeline report of the recorded run.
     pub report: ZCoverReport,
     /// The testbed the trial ran against (for oracle inspection).
-    pub testbed: Testbed,
+    pub testbed: HomeNetwork,
 }
 
 /// Runs the full three-phase pipeline on a fresh testbed with a recorder

@@ -245,8 +245,9 @@ mod tests {
     use super::*;
     use zcover::passive::PassiveScanner;
     use zwave_controller::testbed::{DeviceModel, Testbed};
+    use zwave_controller::HomeNetwork;
 
-    fn prepare(model: DeviceModel, seed: u64) -> (Testbed, Dongle, ScanReport, Vec<Vec<u8>>) {
+    fn prepare(model: DeviceModel, seed: u64) -> (HomeNetwork, Dongle, ScanReport, Vec<Vec<u8>>) {
         let mut tb = Testbed::new(model, seed);
         let mut passive = PassiveScanner::new(tb.medium(), 70.0);
         let corpus = capture_corpus(&mut tb, 3);

@@ -5,8 +5,8 @@
 //! fifteen seeded vulnerabilities of Table III, plus the S2 door lock (D8)
 //! and legacy switch (D9) that make the smart home realistic. Controllers
 //! are reachable only through the simulated radio — the same black-box
-//! boundary ZCover faces against real hardware — while the [`Testbed`]
-//! exposes oracle views (NVM snapshots, fault logs, host/app state) that
+//! boundary ZCover faces against real hardware — while the
+//! [`HomeNetwork`] that [`Testbed::new`] builds exposes oracle views (NVM snapshots, fault logs, host/app state) that
 //! play the role of the authors' manual verification of each finding.
 //!
 //! # Example

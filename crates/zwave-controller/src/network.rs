@@ -1,17 +1,19 @@
-//! One simulated home of the sharded world: a controller under test plus
-//! a seed-derived device population wired by a [`Topology`].
+//! The one simulated home model: a controller under test plus its slave
+//! devices, wired by a [`Topology`] on a shared medium and virtual clock.
 //!
-//! `HomeNetwork` generalizes [`Testbed`](crate::testbed::Testbed) — same
-//! controller construction, same S2 pairing, same pump discipline — but
-//! adds the mesh machinery a flat testbed cannot express: repeaters that
-//! relay source-routed frames, a [`NeighborTable`] the controller's
-//! routes resolve against, route decay on every use, and a switch that
-//! reports through its repeater chain when it sits beyond direct range.
+//! The paper's flat testbed (Table II/IV) is a [`Topology::Star`] home
+//! that keeps the model's factory home id —
+//! [`Testbed::new`](crate::testbed::Testbed::new) builds exactly that. The
+//! sharded world's homes add the mesh machinery a flat network lacks:
+//! repeaters that relay source-routed frames, a [`NeighborTable`] the
+//! controller's routes resolve against, route decay on every use, and a
+//! switch that reports through its repeater chain when it sits beyond
+//! direct range.
 
 use zwave_crypto::s2::{network_keys, S2Session};
 use zwave_crypto::NetworkKey;
 use zwave_protocol::{CommandClassId, HomeId, NodeId};
-use zwave_radio::{Medium, SimClock, Transceiver};
+use zwave_radio::{splitmix64, Medium, SimClock, Transceiver};
 
 use crate::controller::SimController;
 use crate::devices::{SimDoorLock, SimRepeater, SimSensor, SimSwitch};
@@ -41,7 +43,7 @@ impl HomeNetwork {
     pub fn new(model: DeviceModel, topology: Topology, seed: u64) -> Self {
         let clock = SimClock::new();
         let medium = Medium::new(clock.clone(), seed);
-        Self::assemble(model, topology, seed, clock, medium)
+        Self::assemble_seeded(model, topology, seed, clock, medium)
     }
 
     /// Like [`HomeNetwork::new`], but driven by a recycled scheduler
@@ -58,25 +60,45 @@ impl HomeNetwork {
     ) -> Self {
         let clock = SimClock::new();
         let medium = Medium::with_recycled(seed, kernel.recycle(clock.clone()));
-        Self::assemble(model, topology, seed, clock, medium)
+        Self::assemble_seeded(model, topology, seed, clock, medium)
     }
 
-    fn assemble(
+    /// A sweep home: the model's factory id perturbed by the home seed, so
+    /// a city of homes doesn't share seven ids (kept nonzero), and a
+    /// seed-drawn population mix — roughly half the homes also run the
+    /// battery-powered S0 motion sensor.
+    fn assemble_seeded(
         model: DeviceModel,
         topology: Topology,
         seed: u64,
         clock: SimClock,
         medium: Medium,
     ) -> Self {
+        let factory = model.config().home_id.0;
+        let derived = factory ^ (seed as u32);
+        let home_id = HomeId(if derived == 0 { factory } else { derived });
+        let with_sensor = splitmix64(seed ^ 0x7365_6E73) & 1 == 0;
+        Self::assemble(model, topology, seed, home_id, with_sensor, clock, medium)
+    }
+
+    /// Assembles one home: S2-pairs hub and lock, writes the factory NVM
+    /// (lock, switch, repeaters, optional sensor), and attaches every
+    /// station to `medium` in fixed order.
+    pub(crate) fn assemble(
+        model: DeviceModel,
+        topology: Topology,
+        seed: u64,
+        home_id: HomeId,
+        with_sensor: bool,
+        clock: SimClock,
+        medium: Medium,
+    ) -> Self {
         let mut config = model.config();
-        // Per-home id: the model's factory id perturbed by the home seed,
-        // so a city of homes doesn't share seven ids. Kept nonzero.
-        let derived = config.home_id.0 ^ (seed as u32);
-        config.home_id = HomeId(if derived == 0 { config.home_id.0 } else { derived });
-        let home_id = config.home_id;
+        config.home_id = home_id;
         let mut controller = SimController::new(config, &medium, 0.0);
 
-        // S2 pairing between hub and lock, as in `Testbed::new`.
+        // S2 pairing between hub and lock: shared network key,
+        // deterministic entropy inputs.
         let network_key = NetworkKey::from_seed(seed ^ u64::from(home_id.0));
         let keys = network_keys(&network_key);
         let mut sei = [0u8; 16];
@@ -88,8 +110,8 @@ impl HomeNetwork {
         controller.pair_s2(LOCK_NODE, hub_session);
 
         let mut lock_rec = NodeRecord::new(LOCK_NODE, zwave_protocol::nif::BasicDeviceType::Slave);
-        lock_rec.generic = 0x40;
-        lock_rec.specific = 0x03;
+        lock_rec.generic = 0x40; // entry control
+        lock_rec.specific = 0x03; // secure keypad door lock
         lock_rec.listening = false;
         lock_rec.secure = true;
         lock_rec.wakeup_interval_s = Some(3600);
@@ -99,7 +121,7 @@ impl HomeNetwork {
 
         let mut switch_rec =
             NodeRecord::new(SWITCH_NODE, zwave_protocol::nif::BasicDeviceType::RoutingSlave);
-        switch_rec.generic = 0x10;
+        switch_rec.generic = 0x10; // binary switch
         switch_rec.specific = 0x01;
         switch_rec.supported = vec![CommandClassId::SWITCH_BINARY, CommandClassId::BASIC];
         controller.nvm_mut().insert(switch_rec);
@@ -114,10 +136,6 @@ impl HomeNetwork {
         }
         let neighbors = plan.neighbor_table();
 
-        // Mixed populations: roughly half the homes also run the
-        // battery-powered S0 motion sensor.
-        let with_sensor = mix(seed ^ 0x7365_6E73) & 1 == 0;
-
         let lock =
             SimDoorLock::new(&medium, 8.0, home_id, LOCK_NODE, NodeId::CONTROLLER, lock_session);
         // The switch sits far on routed topologies — past the repeater
@@ -131,17 +149,15 @@ impl HomeNetwork {
             .enumerate()
             .map(|(i, &node)| SimRepeater::new(&medium, 16.0 + 4.0 * i as f64, home_id, node))
             .collect();
-        if let Some(route) = neighbors.best_route(SWITCH_NODE, NodeId::CONTROLLER) {
-            if !route.is_empty() {
-                switch.set_report_route(Some(route));
-            }
-        }
+        switch.set_report_route(neighbors.best_route(SWITCH_NODE, NodeId::CONTROLLER));
 
+        // The optional battery-powered S0 motion sensor: a sleeping-node
+        // fourth device.
         let sensor = with_sensor.then(|| {
             let mut rec = NodeRecord::new(SENSOR_NODE, zwave_protocol::nif::BasicDeviceType::Slave);
-            rec.generic = 0x20;
+            rec.generic = 0x20; // binary sensor
             rec.listening = false;
-            rec.secure = false;
+            rec.secure = false; // S0, not S2
             rec.wakeup_interval_s = Some(600);
             rec.supported = vec![
                 CommandClassId(0x30),
@@ -194,9 +210,34 @@ impl HomeNetwork {
         &mut self.controller
     }
 
+    /// The door lock slave.
+    pub fn lock(&self) -> &SimDoorLock {
+        &self.lock
+    }
+
+    /// Mutable access to the door lock slave.
+    pub fn lock_mut(&mut self) -> &mut SimDoorLock {
+        &mut self.lock
+    }
+
     /// The smart switch slave.
     pub fn switch(&self) -> &SimSwitch {
         &self.switch
+    }
+
+    /// Mutable access to the smart switch slave.
+    pub fn switch_mut(&mut self) -> &mut SimSwitch {
+        &mut self.switch
+    }
+
+    /// The optional S0 sensor.
+    pub fn sensor(&self) -> Option<&SimSensor> {
+        self.sensor.as_ref()
+    }
+
+    /// Mutable access to the optional sensor.
+    pub fn sensor_mut(&mut self) -> Option<&mut SimSensor> {
+        self.sensor.as_mut()
     }
 
     /// The home's topology.
@@ -214,9 +255,9 @@ impl HomeNetwork {
         &self.repeaters
     }
 
-    /// Whether this home runs the optional S0 sensor.
-    pub fn has_sensor(&self) -> bool {
-        self.sensor.is_some()
+    /// Sets the controller's link-layer retry/timeout policy.
+    pub fn set_link_policy(&mut self, policy: crate::link::LinkPolicy) {
+        self.controller.set_link_policy(policy);
     }
 
     /// The repeater chain an injected frame must traverse to reach the
@@ -227,12 +268,16 @@ impl HomeNetwork {
         self.neighbors.best_route(SWITCH_NODE, NodeId::CONTROLLER).filter(|route| !route.is_empty())
     }
 
-    /// Attaches an attacker radio at `position_m` metres.
+    /// Attaches an attacker radio at `position_m` metres (10-70 m in the
+    /// paper's threat model).
     pub fn attach_attacker(&self, position_m: f64) -> Transceiver {
         self.medium.attach(position_m)
     }
 
-    /// Total distinct APL dispatch edges across controller and devices.
+    /// Total distinct APL dispatch edges seen across the controller and
+    /// every slave. Per-device edge IDs are disjoint only within a device,
+    /// so this sum can overcount shared edges — but it is monotonic and
+    /// O(1), which is all the fuzzer's per-packet feedback read needs.
     pub fn coverage_edges(&self) -> u64 {
         self.controller.coverage().edges()
             + self.lock.coverage().edges()
@@ -251,14 +296,16 @@ impl HomeNetwork {
         map
     }
 
-    /// Lets every station process pending traffic, event-driven — the
-    /// `Testbed::pump` discipline extended with the repeater population.
+    /// Lets every station process pending traffic, event-driven: each
+    /// round routes fired scheduler wakeups to their owners, then polls —
+    /// in fixed station order — only the stations with pending frames or
+    /// fired timers, until the network quiesces (bounded to keep
+    /// adversarial impairment schedules from spinning forever).
     pub fn pump(&mut self) {
         let ctrl_idx = self.controller.station_index();
         let lock_idx = self.lock.station_index();
         let switch_idx = self.switch.station_index();
         let sensor_idx = self.sensor.as_ref().map(|s| s.station_index());
-        let repeater_idx: Vec<usize> = self.repeaters.iter().map(|r| r.station_index()).collect();
         for _ in 0..16 {
             let fired = self.medium.take_fired_actors();
             for &actor in &fired {
@@ -285,13 +332,15 @@ impl HomeNetwork {
                 self.switch.poll();
                 progressed = true;
             }
-            for (repeater, &idx) in self.repeaters.iter_mut().zip(&repeater_idx) {
-                if fired.contains(&idx) || repeater.has_pending() {
+            for repeater in &mut self.repeaters {
+                if fired.contains(&repeater.station_index()) || repeater.has_pending() {
                     repeater.poll();
                     progressed = true;
                 }
             }
             if let Some(sensor) = &mut self.sensor {
+                // A sleeping sensor's radio is off: frames queue unread, so
+                // pending traffic alone is not progress it can make.
                 if !sensor.is_sleeping()
                     && (sensor_idx.is_some_and(|idx| fired.contains(&idx)) || sensor.has_pending())
                 {
@@ -305,21 +354,19 @@ impl HomeNetwork {
         }
     }
 
-    /// One round of normal network traffic: the hub polls the lock over
-    /// S2, the switch reports — through a freshly-resolved route when it
+    /// One round of normal network traffic (the exchanges ZCover's passive
+    /// scanner captures): the hub polls the lock over S2, the switch
+    /// reports in the clear — through a freshly-resolved route when it
     /// sits behind repeaters, aging the links it uses — and the sensor
     /// (when present) completes a wake cycle.
     pub fn exchange_normal_traffic(&mut self) {
         self.controller.query_door_lock(LOCK_NODE);
         self.pump();
-        let route = self.neighbors.best_route(SWITCH_NODE, NodeId::CONTROLLER);
-        match &route {
-            Some(r) if !r.is_empty() => {
-                self.switch.set_report_route(Some(r.clone()));
-                self.neighbors.note_use(SWITCH_NODE, r, NodeId::CONTROLLER);
-            }
-            _ => self.switch.set_report_route(None),
+        let route = self.injection_route();
+        if let Some(r) = &route {
+            self.neighbors.note_use(SWITCH_NODE, r, NodeId::CONTROLLER);
         }
+        self.switch.set_report_route(route);
         self.switch.report_to_controller();
         self.pump();
         if let Some(sensor) = &mut self.sensor {
@@ -328,14 +375,6 @@ impl HomeNetwork {
             self.pump();
         }
     }
-}
-
-/// splitmix64 finalizer (population-mix bits).
-fn mix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -392,7 +431,7 @@ mod tests {
         let a = HomeNetwork::new(DeviceModel::D3, Topology::Mesh, 11);
         let b = HomeNetwork::new(DeviceModel::D3, Topology::Mesh, 11);
         assert_eq!(a.controller().home_id(), b.controller().home_id());
-        assert_eq!(a.has_sensor(), b.has_sensor());
+        assert_eq!(a.sensor().is_some(), b.sensor().is_some());
         assert_eq!(a.injection_route(), b.injection_route());
         assert_eq!(a.repeaters().len(), b.repeaters().len());
     }
@@ -400,7 +439,7 @@ mod tests {
     #[test]
     fn population_mix_varies_with_the_seed() {
         let populations: Vec<bool> = (0..16u64)
-            .map(|seed| HomeNetwork::new(DeviceModel::D1, Topology::Star, seed).has_sensor())
+            .map(|seed| HomeNetwork::new(DeviceModel::D1, Topology::Star, seed).sensor().is_some())
             .collect();
         assert!(populations.iter().any(|&p| p));
         assert!(populations.iter().any(|&p| !p));

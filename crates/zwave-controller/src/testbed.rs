@@ -2,14 +2,12 @@
 //! with their Table IV fingerprints, plus the two slave devices that make
 //! the smart home realistic.
 
-use zwave_crypto::s2::{network_keys, S2Session};
-use zwave_crypto::NetworkKey;
 use zwave_protocol::{CommandClassId, HomeId, NodeId};
-use zwave_radio::{Medium, SimClock, Transceiver};
+use zwave_radio::{Medium, SimClock};
 
-use crate::controller::{ControllerConfig, SimController};
-use crate::devices::{SimDoorLock, SimSensor, SimSwitch};
-use crate::nvm::NodeRecord;
+use crate::controller::ControllerConfig;
+use crate::network::HomeNetwork;
+use crate::topology::Topology;
 use crate::vulns::MacQuirk;
 
 /// The seven controller models under test (rows D1-D7 of Table II).
@@ -157,254 +155,33 @@ pub const SWITCH_NODE: NodeId = NodeId(0x03);
 /// Node id of the optional S0 motion sensor.
 pub const SENSOR_NODE: NodeId = NodeId(0x04);
 
-/// One assembled Z-Wave network: a controller under test plus the two
-/// slave devices, sharing a medium and a virtual clock.
-#[derive(Debug)]
-pub struct Testbed {
-    clock: SimClock,
-    medium: Medium,
-    controller: SimController,
-    lock: SimDoorLock,
-    switch: SimSwitch,
-    sensor: Option<SimSensor>,
-}
+/// The paper's flat evaluation testbed: a controller under test plus the
+/// two slave devices, as one [`Topology::Star`] [`HomeNetwork`] that keeps
+/// the model's Table IV factory home id. A constructor namespace only —
+/// both constructors return the home itself.
+pub enum Testbed {}
 
 impl Testbed {
     /// Builds the network for `model` with deterministic keys derived from
     /// `seed`.
-    pub fn new(model: DeviceModel, seed: u64) -> Self {
-        let clock = SimClock::new();
-        let medium = Medium::new(clock.clone(), seed);
-        Self::assemble(model, seed, clock, medium)
-    }
-
-    /// Like [`Testbed::new`], but on a recycled scheduler kernel: the
-    /// wheel + event arena from a finished simulation are rebound to a
-    /// fresh clock and reused. Bit-identical to a fresh testbed — the
-    /// kernel's sequence-number and timer-id streams restart from zero.
-    pub fn new_recycled(model: DeviceModel, seed: u64, kernel: &zwave_radio::SimScheduler) -> Self {
-        let clock = SimClock::new();
-        let medium = Medium::with_recycled(seed, kernel.recycle(clock.clone()));
-        Self::assemble(model, seed, clock, medium)
-    }
-
-    fn assemble(model: DeviceModel, seed: u64, clock: SimClock, medium: Medium) -> Self {
-        let config = model.config();
-        let home_id = config.home_id;
-        let mut controller = SimController::new(config, &medium, 0.0);
-
-        // Complete an S2 pairing between hub and lock: shared network key,
-        // deterministic entropy inputs.
-        let network_key = NetworkKey::from_seed(seed ^ u64::from(home_id.0));
-        let keys = network_keys(&network_key);
-        let mut sei = [0u8; 16];
-        sei[..8].copy_from_slice(&seed.to_be_bytes());
-        let mut rei = [0u8; 16];
-        rei[..8].copy_from_slice(&(seed ^ 0xFFFF_FFFF).to_be_bytes());
-        let hub_session = S2Session::initiator(keys.clone(), &sei, &rei);
-        let lock_session = S2Session::responder(keys, &sei, &rei);
-        controller.pair_s2(LOCK_NODE, hub_session);
-
-        // Factory NVM: the controller itself, the S2 lock, the switch.
-        let mut lock_rec = NodeRecord::new(LOCK_NODE, zwave_protocol::nif::BasicDeviceType::Slave);
-        lock_rec.generic = 0x40; // entry control
-        lock_rec.specific = 0x03; // secure keypad door lock
-        lock_rec.listening = false;
-        lock_rec.secure = true;
-        lock_rec.wakeup_interval_s = Some(3600);
-        lock_rec.supported =
-            vec![CommandClassId::DOOR_LOCK, CommandClassId::BATTERY, CommandClassId::SECURITY_2];
-        controller.nvm_mut().insert(lock_rec);
-
-        let mut switch_rec =
-            NodeRecord::new(SWITCH_NODE, zwave_protocol::nif::BasicDeviceType::RoutingSlave);
-        switch_rec.generic = 0x10; // binary switch
-        switch_rec.specific = 0x01;
-        switch_rec.supported = vec![CommandClassId::SWITCH_BINARY, CommandClassId::BASIC];
-        controller.nvm_mut().insert(switch_rec);
-        controller.commit_factory_state();
-
-        let lock =
-            SimDoorLock::new(&medium, 8.0, home_id, LOCK_NODE, NodeId::CONTROLLER, lock_session);
-        let switch = SimSwitch::new(&medium, 12.0, home_id, SWITCH_NODE, NodeId::CONTROLLER);
-
-        Testbed { clock, medium, controller, lock, switch, sensor: None }
+    // `Testbed` has no values: `new` names the flat home, not a `Testbed`.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(model: DeviceModel, seed: u64) -> HomeNetwork {
+        Self::build(model, seed, false)
     }
 
     /// Like [`Testbed::new`] but with an additional battery-powered S0
     /// motion sensor (node 0x04) joined to the network — an optional
     /// fourth device for experiments that need sleeping-node traffic.
-    pub fn with_sensor(model: DeviceModel, seed: u64) -> Self {
-        let mut tb = Testbed::new(model, seed);
-        let home_id = tb.controller.home_id();
-        let s0_key = *tb.controller.s0_key();
-        let sensor =
-            SimSensor::new(&tb.medium, 15.0, home_id, SENSOR_NODE, NodeId::CONTROLLER, &s0_key);
-        let mut record = NodeRecord::new(SENSOR_NODE, zwave_protocol::nif::BasicDeviceType::Slave);
-        record.generic = 0x20; // binary sensor
-        record.listening = false;
-        record.secure = false; // S0, not S2
-        record.wakeup_interval_s = Some(600);
-        record.supported = vec![
-            CommandClassId(0x30),
-            CommandClassId::BATTERY,
-            CommandClassId::WAKE_UP,
-            CommandClassId::SECURITY_0,
-        ];
-        tb.controller.nvm_mut().insert(record);
-        tb.controller.commit_factory_state();
-        tb.sensor = Some(sensor);
-        tb
+    pub fn with_sensor(model: DeviceModel, seed: u64) -> HomeNetwork {
+        Self::build(model, seed, true)
     }
 
-    /// The optional S0 sensor (present after [`Testbed::with_sensor`]).
-    pub fn sensor(&self) -> Option<&SimSensor> {
-        self.sensor.as_ref()
-    }
-
-    /// Mutable access to the optional sensor.
-    pub fn sensor_mut(&mut self) -> Option<&mut SimSensor> {
-        self.sensor.as_mut()
-    }
-
-    /// The shared virtual clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// The shared radio medium.
-    pub fn medium(&self) -> &Medium {
-        &self.medium
-    }
-
-    /// The controller under test.
-    pub fn controller(&self) -> &SimController {
-        &self.controller
-    }
-
-    /// Mutable access to the controller under test.
-    pub fn controller_mut(&mut self) -> &mut SimController {
-        &mut self.controller
-    }
-
-    /// The door lock slave.
-    pub fn lock(&self) -> &SimDoorLock {
-        &self.lock
-    }
-
-    /// Mutable access to the door lock slave.
-    pub fn lock_mut(&mut self) -> &mut SimDoorLock {
-        &mut self.lock
-    }
-
-    /// The smart switch slave.
-    pub fn switch(&self) -> &SimSwitch {
-        &self.switch
-    }
-
-    /// Mutable access to the smart switch slave.
-    pub fn switch_mut(&mut self) -> &mut SimSwitch {
-        &mut self.switch
-    }
-
-    /// Attaches an attacker radio at `position_m` metres (10-70 m in the
-    /// paper's threat model).
-    pub fn attach_attacker(&self, position_m: f64) -> Transceiver {
-        self.medium.attach(position_m)
-    }
-
-    /// Total distinct APL dispatch edges seen across the controller and
-    /// every slave. Per-device edge IDs are disjoint only within a device,
-    /// so this sum can overcount shared edges — but it is monotonic and
-    /// O(1), which is all the fuzzer's per-packet feedback read needs.
-    pub fn coverage_edges(&self) -> u64 {
-        self.controller.coverage().edges()
-            + self.lock.coverage().edges()
-            + self.switch.coverage().edges()
-            + self.sensor.as_ref().map_or(0, |s| s.coverage().edges())
-    }
-
-    /// The union of all devices' coverage maps (a fresh merged copy).
-    pub fn coverage(&self) -> crate::coverage::CoverageMap {
-        let mut map = self.controller.coverage().clone();
-        map.merge(self.lock.coverage());
-        map.merge(self.switch.coverage());
-        if let Some(sensor) = &self.sensor {
-            map.merge(sensor.coverage());
-        }
-        map
-    }
-
-    /// Sets the controller's link-layer retry/timeout policy.
-    pub fn set_link_policy(&mut self, policy: crate::link::LinkPolicy) {
-        self.controller.set_link_policy(policy);
-    }
-
-    /// Lets every device process pending traffic, event-driven: each round
-    /// routes fired scheduler wakeups to their owners, then polls — in
-    /// fixed station order — only the devices with pending frames or fired
-    /// timers, until the network quiesces (bounded to keep adversarial
-    /// impairment schedules from spinning forever).
-    pub fn pump(&mut self) {
-        let ctrl_idx = self.controller.station_index();
-        let lock_idx = self.lock.station_index();
-        let switch_idx = self.switch.station_index();
-        let sensor_idx = self.sensor.as_ref().map(|s| s.station_index());
-        for _ in 0..16 {
-            let fired = self.medium.take_fired_actors();
-            for &actor in &fired {
-                if actor == lock_idx {
-                    self.lock.on_wakeup();
-                } else if actor == switch_idx {
-                    self.switch.on_wakeup();
-                } else if Some(actor) == sensor_idx {
-                    if let Some(sensor) = &mut self.sensor {
-                        sensor.on_wakeup();
-                    }
-                }
-            }
-            let mut progressed = false;
-            if fired.contains(&ctrl_idx) || self.controller.has_pending() {
-                self.controller.poll();
-                progressed = true;
-            }
-            if fired.contains(&lock_idx) || self.lock.has_pending() {
-                self.lock.poll();
-                progressed = true;
-            }
-            if fired.contains(&switch_idx) || self.switch.has_pending() {
-                self.switch.poll();
-                progressed = true;
-            }
-            if let Some(sensor) = &mut self.sensor {
-                // A sleeping sensor's radio is off: frames queue unread, so
-                // pending traffic alone is not progress it can make.
-                if !sensor.is_sleeping()
-                    && (sensor_idx.is_some_and(|idx| fired.contains(&idx)) || sensor.has_pending())
-                {
-                    sensor.poll();
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-
-    /// Generates one round of normal network traffic (the exchanges
-    /// ZCover's passive scanner captures): the hub polls the lock over S2
-    /// and the switch reports its state in the clear.
-    pub fn exchange_normal_traffic(&mut self) {
-        self.controller.query_door_lock(LOCK_NODE);
-        self.pump();
-        self.switch.report_to_controller();
-        self.pump();
-        if let Some(sensor) = &mut self.sensor {
-            sensor.wake();
-            self.pump();
-            self.pump();
-        }
+    fn build(model: DeviceModel, seed: u64, with_sensor: bool) -> HomeNetwork {
+        let clock = SimClock::new();
+        let medium = Medium::new(clock.clone(), seed);
+        let home_id = model.config().home_id;
+        HomeNetwork::assemble(model, Topology::Star, seed, home_id, with_sensor, clock, medium)
     }
 }
 
@@ -441,6 +218,28 @@ mod tests {
             (DeviceModel::D7, 15),
         ] {
             assert_eq!(model.listed_classes().len(), count, "{model:?}");
+        }
+    }
+
+    #[test]
+    fn testbed_is_the_flat_factory_home() {
+        for model in DeviceModel::all() {
+            let mut tb = Testbed::new(model, 3);
+            assert_eq!(tb.controller().home_id(), model.config().home_id, "{model:?}");
+            assert_eq!(tb.topology(), Topology::Star, "{model:?}");
+            assert!(tb.repeaters().is_empty(), "{model:?}");
+            assert_eq!(tb.injection_route(), None, "{model:?}");
+            assert!(tb.sensor().is_none(), "{model:?}");
+            // The campaign surface the fuzzer drives: normal traffic, pump,
+            // fault drain and factory restore.
+            tb.exchange_normal_traffic();
+            tb.pump();
+            assert!(tb.controller_mut().take_new_faults().is_empty(), "{model:?}");
+            tb.controller_mut().restore_factory();
+
+            let with = Testbed::with_sensor(model, 3);
+            assert_eq!(with.controller().home_id(), model.config().home_id, "{model:?}");
+            assert!(with.sensor().is_some(), "{model:?}");
         }
     }
 

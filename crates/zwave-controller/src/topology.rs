@@ -6,6 +6,7 @@
 //! home always produce byte-identical networks.
 
 use zwave_protocol::NodeId;
+use zwave_radio::splitmix64;
 
 use crate::neighbors::NeighborTable;
 use crate::testbed::{LOCK_NODE, SENSOR_NODE, SWITCH_NODE};
@@ -16,8 +17,9 @@ pub const FIRST_REPEATER: u8 = 0x06;
 /// How a home's nodes are wired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
-    /// Every slave is a direct neighbor of the controller — the flat
-    /// single-hop network the original `Testbed` models. No repeaters.
+    /// Every slave is a direct neighbor of the controller, with no
+    /// repeaters: the paper's flat single-hop testbed. `Testbed::new` is
+    /// a star home that keeps the model's factory home id.
     Star,
     /// The switch sits behind a chain of 1–4 repeaters; every routed
     /// frame traverses the whole chain.
@@ -61,7 +63,7 @@ impl Topology {
                 links: vec![(ctrl, LOCK_NODE), (ctrl, SWITCH_NODE), (ctrl, SENSOR_NODE)],
             },
             Topology::Line => {
-                let count = 1 + (mix(seed ^ 0x6C69_6E65) % 4) as usize;
+                let count = 1 + (splitmix64(seed ^ 0x6C69_6E65) % 4) as usize;
                 let repeaters: Vec<NodeId> =
                     (0..count).map(|i| NodeId(FIRST_REPEATER + i as u8)).collect();
                 let mut links = vec![(ctrl, LOCK_NODE), (ctrl, SENSOR_NODE)];
@@ -74,7 +76,7 @@ impl Topology {
                 TopologyPlan { repeaters, links }
             }
             Topology::Mesh => {
-                let count = 2 + (mix(seed ^ 0x6D65_7368) % 3) as usize;
+                let count = 2 + (splitmix64(seed ^ 0x6D65_7368) % 3) as usize;
                 let repeaters: Vec<NodeId> =
                     (0..count).map(|i| NodeId(FIRST_REPEATER + i as u8)).collect();
                 // Backbone: the line plan's chain, guaranteeing
@@ -88,7 +90,7 @@ impl Topology {
                 links.push((prev, SWITCH_NODE));
                 // Seed-derived chords between non-adjacent pairs give the
                 // mesh its redundant routes.
-                let mut bits = mix(seed ^ 0x6368_6F72);
+                let mut bits = splitmix64(seed ^ 0x6368_6F72);
                 for i in 0..count {
                     for j in (i + 2)..count {
                         if bits & 1 != 0 {
@@ -136,15 +138,6 @@ impl TopologyPlan {
         }
         table
     }
-}
-
-/// splitmix64 finalizer — the same closed form the executor's per-trial
-/// seed derivation uses, local so plans stay a pure leaf of this crate.
-fn mix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

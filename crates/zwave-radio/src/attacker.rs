@@ -21,13 +21,7 @@ use std::time::Duration;
 use crate::clock::SimInstant;
 use crate::medium::{Medium, Transceiver};
 use crate::sched::TimerToken;
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::splitmix64;
 
 /// A deterministic transmission schedule: frame `i` fires at
 /// `anchor + start + i * period + jitter(seed, i)`, with the jitter
@@ -54,7 +48,7 @@ impl AttackerSchedule {
     /// stays strictly monotone.
     pub fn jitter(&self, index: u64) -> Duration {
         let bound = (self.period.as_micros() as u64 / 4).max(1);
-        Duration::from_micros(splitmix(self.seed ^ splitmix(index)) % bound)
+        Duration::from_micros(splitmix64(self.seed ^ splitmix64(index)) % bound)
     }
 
     /// The fire time of frame `index` — independent of every other index

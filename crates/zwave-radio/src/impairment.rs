@@ -29,6 +29,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::splitmix64;
+
 /// A two-state Gilbert–Elliott burst-loss channel.
 ///
 /// The channel is either in the *good* state (losing frames with
@@ -281,26 +283,18 @@ impl std::fmt::Display for ImpairmentProfile {
     }
 }
 
-/// splitmix64 finalizer used to derive independent per-frame RNG streams.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The RNG for draws that happen once per transmitted frame (channel-state
 /// transitions): a pure function of `(seed, frame_index)`.
 pub(crate) fn frame_rng(seed: u64, frame_index: u64) -> StdRng {
-    StdRng::seed_from_u64(splitmix(seed ^ splitmix(frame_index)))
+    StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(frame_index)))
 }
 
 /// The RNG for per-receiver delivery draws (loss, corruption, duplication,
 /// reordering, truncation): a pure function of `(seed, frame_index,
 /// receiver)`, so receivers never perturb each other's outcomes.
 pub(crate) fn delivery_rng(seed: u64, frame_index: u64, receiver: u64) -> StdRng {
-    StdRng::seed_from_u64(splitmix(
-        seed ^ splitmix(frame_index) ^ splitmix(receiver.wrapping_add(0x5EED)),
+    StdRng::seed_from_u64(splitmix64(
+        seed ^ splitmix64(frame_index) ^ splitmix64(receiver.wrapping_add(0x5EED)),
     ))
 }
 

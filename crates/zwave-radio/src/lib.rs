@@ -49,3 +49,14 @@ pub use sched::{
     Delivery, Event, EventKind, EventObserver, SchedStats, SimScheduler, TimerToken, WHEEL_LEVELS,
 };
 pub use sniffer::Sniffer;
+
+/// The splitmix64 output function: advances `z` by the golden-ratio
+/// increment and finalizes it. Every seed-derived stream in the workspace
+/// (per-frame impairment RNGs, attacker jitter, home wiring and population
+/// mix, per-trial seeds, the coverage power schedule) is built from it.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -558,6 +558,12 @@ impl SchedState {
                 }
                 self.drain = drain;
                 self.collected_until = start + (1u64 << SHIFT[0]);
+                // Draining a region's last L0 slot carries the horizon into
+                // the next 2^37 µs region: overflow nodes filed there now
+                // belong in the wheel, ahead of anything scheduled later.
+                if self.overflow_live > 0 && self.collected_until >> TOP_SHIFT != cu >> TOP_SHIFT {
+                    self.replant_overflow();
+                }
                 return;
             }
             // L1..L3: jump the horizon to the next occupied upper slot
@@ -587,25 +593,28 @@ impl SchedState {
                 continue;
             }
             // Every level is empty: jump the horizon to the overflow
-            // list's earliest 2^37 µs region and re-plant it.
+            // list's earliest 2^37 µs region and re-plant it. The jump
+            // can't skip anything: the wheel is empty, and overflow nodes
+            // of the horizon's own region were re-planted when it entered
+            // that region.
             debug_assert!(self.overflow_live > 0, "collect_step on an empty wheel");
+            let mut min_at = u64::MAX;
+            let mut cur = self.slots[HOME_OVERFLOW as usize];
+            while cur != NIL {
+                min_at = min_at.min(self.nodes[cur as usize].at);
+                cur = self.nodes[cur as usize].next;
+            }
+            let region = min_at >> TOP_SHIFT << TOP_SHIFT;
+            debug_assert!(region > cu, "overflow node behind the horizon");
+            self.collected_until = region;
             self.replant_overflow();
         }
     }
 
-    /// Moves the horizon to the overflow list's earliest region and files
-    /// every node of that region into the wheel levels. Only called when
-    /// all wheel levels are empty, so the jump can't skip anything.
+    /// Re-files every overflow node against the current horizon: nodes of
+    /// the horizon's region drop into the wheel levels, later ones go back
+    /// on the overflow list.
     fn replant_overflow(&mut self) {
-        let mut min_at = u64::MAX;
-        let mut cur = self.slots[HOME_OVERFLOW as usize];
-        while cur != NIL {
-            min_at = min_at.min(self.nodes[cur as usize].at);
-            cur = self.nodes[cur as usize].next;
-        }
-        let region = min_at >> TOP_SHIFT << TOP_SHIFT;
-        debug_assert!(region > self.collected_until, "overflow node behind the horizon");
-        self.collected_until = region;
         let mut drain = std::mem::take(&mut self.drain);
         drain.clear();
         let mut cur = self.slots[HOME_OVERFLOW as usize];

@@ -1,8 +1,9 @@
 //! Edge-case coverage for the `SimScheduler` event kernel and the medium's
 //! blackout machinery layered on top of it: cancel-after-fire and stale
-//! tokens, same-instant timer vs. frame ordering, and the generation guard
-//! that keeps stale blackout events from a replaced impairment profile
-//! from toggling the channel.
+//! tokens, same-instant timer vs. frame ordering, overflow release across
+//! the wheel's top-level span, and the generation guard that keeps stale
+//! blackout events from a replaced impairment profile from toggling the
+//! channel.
 
 use std::time::Duration;
 
@@ -165,6 +166,39 @@ fn earlier_instant_beats_earlier_sequence_number() {
 
     assert_eq!(sched.pop_due(at(100)).expect("frame first").kind, frame_for(1));
     assert_eq!(sched.pop_due(at(100)).expect("timer second").kind, EventKind::Timer(late_timer));
+}
+
+/// An event just past the wheel's top-level span parks in the overflow
+/// list; draining the last L0 slot of the first region must carry the
+/// horizon far enough to release it, in instant order.
+#[test]
+fn overflow_node_whose_region_the_horizon_reaches_via_l0_drain() {
+    let region = 1u64 << 37;
+    let sched = SimScheduler::new(SimClock::new());
+    // A: last L0 slot of region 0; B: just inside region 1 (overflow).
+    sched.schedule(at(region - 500), 0, EventKind::FrameArrival(Vec::new()));
+    sched.schedule(at(region + 10), 1, EventKind::FrameArrival(Vec::new()));
+    let a = sched.pop_due(at(u64::MAX / 2)).expect("A releases");
+    assert_eq!(a.at.as_micros(), region - 500);
+    let b = sched.pop_due(at(u64::MAX / 2)).expect("B releases");
+    assert_eq!(b.at.as_micros(), region + 10);
+}
+
+/// Once the horizon has drained into the overflow node's region, an event
+/// scheduled later in that region must not overtake it.
+#[test]
+fn overflow_node_is_not_overtaken_by_a_later_event_in_its_region() {
+    let region = 1u64 << 37;
+    let sched = SimScheduler::new(SimClock::new());
+    sched.schedule(at(region - 500), 0, EventKind::FrameArrival(Vec::new()));
+    sched.schedule(at(region + 10), 1, EventKind::FrameArrival(Vec::new()));
+    let a = sched.pop_due(at(u64::MAX / 2)).expect("A releases");
+    assert_eq!(a.at.as_micros(), region - 500);
+    sched.schedule(at(region + 5000), 2, EventKind::FrameArrival(Vec::new()));
+    let order: Vec<u64> = std::iter::from_fn(|| sched.pop_due(at(u64::MAX / 2)))
+        .map(|event| event.at.as_micros())
+        .collect();
+    assert_eq!(order, [region + 10, region + 5000]);
 }
 
 // ---------------------------------------------------------------------

@@ -13,9 +13,14 @@
 //! * bug #12 — the lock's wake-up interval is cleared.
 
 use zcover_suite::zwave_controller::testbed::{DeviceModel, Testbed};
+use zcover_suite::zwave_controller::HomeNetwork;
 use zcover_suite::zwave_protocol::{MacFrame, NodeId};
 
-fn inject(home: &mut Testbed, attacker: &zcover_suite::zwave_radio::Transceiver, params: &[u8]) {
+fn inject(
+    home: &mut HomeNetwork,
+    attacker: &zcover_suite::zwave_radio::Transceiver,
+    params: &[u8],
+) {
     let mut payload = vec![0x01, 0x0D];
     payload.extend_from_slice(params);
     let frame = MacFrame::singlecast(

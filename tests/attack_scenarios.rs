@@ -3,12 +3,12 @@
 //! radio and controller crates.
 
 use zcover_suite::zwave_controller::testbed::{DeviceModel, Testbed, LOCK_NODE, SWITCH_NODE};
-use zcover_suite::zwave_controller::{AppState, HostState};
+use zcover_suite::zwave_controller::{AppState, HomeNetwork, HostState};
 use zcover_suite::zwave_protocol::nif::BasicDeviceType;
 use zcover_suite::zwave_protocol::{MacFrame, NodeId};
 use zcover_suite::zwave_radio::{FrameBuf, Transceiver};
 
-fn inject(tb: &mut Testbed, attacker: &Transceiver, payload: Vec<u8>) {
+fn inject(tb: &mut HomeNetwork, attacker: &Transceiver, payload: Vec<u8>) {
     let frame = MacFrame::singlecast(
         tb.controller().home_id(),
         SWITCH_NODE, // spoofed source

@@ -3,11 +3,12 @@
 //! semantics each carries (a checksum is not a MAC; an S0 MAC is).
 
 use zcover_suite::zwave_controller::testbed::{DeviceModel, Testbed, LOCK_NODE, SWITCH_NODE};
+use zcover_suite::zwave_controller::HomeNetwork;
 use zcover_suite::zwave_crypto::s0::{self, S0Keys};
 use zcover_suite::zwave_protocol::checksum::crc16_ccitt;
 use zcover_suite::zwave_protocol::{MacFrame, NodeId};
 
-fn send(tb: &mut Testbed, attacker: &zcover_suite::zwave_radio::Transceiver, payload: Vec<u8>) {
+fn send(tb: &mut HomeNetwork, attacker: &zcover_suite::zwave_radio::Transceiver, payload: Vec<u8>) {
     let frame = MacFrame::singlecast(tb.controller().home_id(), SWITCH_NODE, NodeId(0x01), payload);
     attacker.transmit(&frame.encode());
     tb.pump();
