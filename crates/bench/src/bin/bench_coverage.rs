@@ -6,7 +6,8 @@
 //! - **zcover** — the paper's position-sensitive Algorithm 1 (`full`);
 //! - **coverage** — the coverage-guided mode: APL dispatch-edge feedback,
 //!   corpus retention on new-edge discovery, power-schedule mutation;
-//! - **vfuzz** — the blind uniform-random baseline.
+//! - **vfuzz** — the VFuzz baseline: MAC-level mutation of the frames
+//!   fingerprinting captured, injected raw (no APL awareness).
 //!
 //! For every Table III bug each mode finds, the harness reports the mean
 //! and median virtual time to first discovery across trials, plus the

@@ -5,59 +5,12 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use zcover::{
-    derive_trial_seed, CampaignExecutor, FuzzConfig, ImpairmentProfile, TrialSummary, ZCover,
-    ZCoverReport,
-};
+use zcover::{CampaignExecutor, FuzzConfig, ImpairmentProfile, TrialSummary, ZCover};
 use zwave_controller::testbed::{DeviceModel, Testbed};
-use zwave_controller::HomeNetwork;
 use zwave_radio::SimInstant;
 
 use crate::paperdata;
 use crate::render;
-
-/// Runs the full three-phase ZCover pipeline against one device model.
-/// Returns the report plus the testbed for oracle inspection.
-pub fn run_zcover(model: DeviceModel, fuzz: Duration, seed: u64) -> (ZCoverReport, HomeNetwork) {
-    let mut tb = Testbed::new(model, seed);
-    let mut zcover = ZCover::attach(&tb, 70.0);
-    let report = zcover
-        .run_campaign(&mut tb, FuzzConfig::full(fuzz, seed))
-        .expect("simulated network always fingerprints");
-    (report, tb)
-}
-
-/// Runs a single configurable campaign (for the ablation).
-pub fn run_zcover_config(model: DeviceModel, config: FuzzConfig, seed: u64) -> ZCoverReport {
-    let mut tb = Testbed::new(model, seed);
-    let mut zcover = ZCover::attach(&tb, 70.0);
-    zcover.run_campaign(&mut tb, config).expect("simulated network always fingerprints")
-}
-
-/// Runs the VFuzz baseline against one device model.
-pub fn run_vfuzz(model: DeviceModel, fuzz: Duration, seed: u64) -> vfuzz::VFuzzResult {
-    run_vfuzz_with_profile(model, fuzz, seed, ImpairmentProfile::Clean)
-}
-
-/// [`run_vfuzz`] with a named impairment profile shaping the channel for
-/// the whole baseline run (corpus capture included), so Table V's two
-/// columns can face the same medium.
-pub fn run_vfuzz_with_profile(
-    model: DeviceModel,
-    fuzz: Duration,
-    seed: u64,
-    profile: ImpairmentProfile,
-) -> vfuzz::VFuzzResult {
-    let mut tb = Testbed::new(model, seed);
-    tb.medium().set_impairment(profile.schedule());
-    let corpus = vfuzz::capture_corpus(&mut tb, 3);
-    let mut passive = zcover::PassiveScanner::new(tb.medium(), 70.0);
-    tb.exchange_normal_traffic();
-    let scan = passive.analyze().expect("traffic present");
-    let mut dongle = zcover::Dongle::attach(tb.medium(), 70.0);
-    let fuzzer = vfuzz::VFuzz::new(vfuzz::VFuzzConfig::comparison(fuzz, seed));
-    fuzzer.run(&mut tb, &mut dongle, &scan, &corpus)
-}
 
 // ───────────────────────── Table II ─────────────────────────
 
@@ -235,11 +188,9 @@ pub fn table4(seed: u64) -> (Vec<Table4Row>, String) {
 pub type Table5Row = (String, f64, f64, f64, f64, f64, f64);
 
 /// Runs both fuzzers on D1-D5 over `trials` independently-seeded campaigns
-/// and tabulates mean coverage and findings. ZCover trials fan out across
-/// `workers` executor threads; the VFuzz baseline runs the *same* derived
-/// seed set sequentially (its harness predates the executor), so both
-/// columns average over identical seeds on an identically-`profile`d
-/// channel.
+/// and tabulates mean coverage and findings. Both columns go through the
+/// executor (`workers` threads) with the same campaign seed, so they
+/// average over identical trial seeds on an identically-`profile`d channel.
 pub fn table5(
     fuzz: Duration,
     campaign_seed: u64,
@@ -247,27 +198,28 @@ pub fn table5(
     workers: usize,
     profile: ImpairmentProfile,
 ) -> (Vec<Table5Row>, String) {
-    let mean = |xs: &[usize]| xs.iter().sum::<usize>() as f64 / xs.len().max(1) as f64;
-    let config = FuzzConfig::full(fuzz, campaign_seed).with_impairment(profile);
-    let mut results = Vec::new();
-    for model in DeviceModel::usb_models() {
-        let vruns: Vec<vfuzz::VFuzzResult> = (0..trials)
-            .map(|t| {
-                run_vfuzz_with_profile(model, fuzz, derive_trial_seed(campaign_seed, t), profile)
-            })
-            .collect();
-        let summary = CampaignExecutor::new(workers)
+    let executor = CampaignExecutor::new(workers);
+    let means = |model: DeviceModel, config: FuzzConfig| {
+        let summary = executor
             .run(trials, campaign_seed, |seed| Testbed::new(model, seed), &config)
             .expect("fingerprinting succeeds on the simulated testbed");
-        results.push((
-            model.idx().to_string(),
-            mean(&vruns.iter().map(|r| r.cmdcl_coverage.len()).collect::<Vec<_>>()),
-            mean(&vruns.iter().map(|r| r.cmd_coverage.len()).collect::<Vec<_>>()),
-            mean(&vruns.iter().map(|r| r.unique_vulns()).collect::<Vec<_>>()),
-            mean(&summary.per_trial.iter().map(|c| c.cmdcl_coverage.len()).collect::<Vec<_>>()),
-            mean(&summary.per_trial.iter().map(|c| c.cmd_coverage.len()).collect::<Vec<_>>()),
+        let mean = |count: fn(&zcover::CampaignResult) -> usize| {
+            summary.per_trial.iter().map(count).sum::<usize>() as f64
+                / summary.per_trial.len().max(1) as f64
+        };
+        (
+            mean(|c| c.cmdcl_coverage.len()),
+            mean(|c| c.cmd_coverage.len()),
             summary.mean_unique_vulns(),
-        ));
+        )
+    };
+    let mut results = Vec::new();
+    for model in DeviceModel::usb_models() {
+        let (vcc, vcmd, vvul) =
+            means(model, FuzzConfig::vfuzz(fuzz, campaign_seed).with_impairment(profile));
+        let (zcc, zcmd, zvul) =
+            means(model, FuzzConfig::full(fuzz, campaign_seed).with_impairment(profile));
+        results.push((model.idx().to_string(), vcc, vcmd, vvul, zcc, zcmd, zvul));
     }
     let mut rows = Vec::new();
     for ((idx, vcc, vcmd, vvul, zcc, zcmd, zvul), (pidx, pvv, pzv)) in

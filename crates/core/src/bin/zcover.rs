@@ -73,7 +73,8 @@ fn parse_scenario(args: &[String]) -> Scenario {
 /// The canonical configuration name selected by `--mode` / `--config`
 /// (also recorded in trace headers so `zcover replay` can rebuild the
 /// configuration). `--mode zcover` (the default) defers to `--config`;
-/// the coverage and vfuzz engines are whole configurations of their own.
+/// the coverage and vfuzz (MAC-level mutation) engines are whole
+/// configurations of their own.
 fn config_name(args: &[String]) -> String {
     match flag(args, "--mode").as_deref() {
         None | Some("zcover") => flag(args, "--config").unwrap_or_else(|| "full".to_string()),
@@ -200,28 +201,23 @@ fn main() {
                 "fuzzing {} for {hours}h virtual (seed {seed}, channel {profile}) ...",
                 model.idx()
             );
-            let (report, mut tb) = match flag(&args, "--record") {
+            let report = match flag(&args, "--record") {
                 Some(path) => {
                     let rec = zcover::record_campaign(model, &config_name(&args), config)
                         .expect("fingerprinting failed");
                     rec.trace.save(Path::new(&path)).expect("writing the trace file");
                     eprintln!("trace recorded to {path} ({} events)", rec.trace.events.len());
-                    (rec.report, rec.testbed)
+                    rec.report
                 }
                 None => {
                     let mut tb = Testbed::new(model, seed);
                     let mut zc = ZCover::attach(&tb, 70.0);
-                    let report = zc.run_campaign(&mut tb, config).expect("fingerprinting failed");
-                    (report, tb)
+                    zc.run_campaign(&mut tb, config).expect("fingerprinting failed")
                 }
             };
             if let Some(path) = flag(&args, "--report") {
-                let label = format!(
-                    "{} {} ({})",
-                    tb.controller().config().brand,
-                    tb.controller().config().model,
-                    model.idx()
-                );
+                let device = model.config();
+                let label = format!("{} {} ({})", device.brand, device.model, model.idx());
                 std::fs::write(&path, zcover::report::to_markdown(&report, &label))
                     .expect("writing the assessment report");
                 eprintln!("assessment report written to {path}");
@@ -253,8 +249,8 @@ fn main() {
                 );
             }
             let mut log = BugLog::new();
-            for fault in tb.controller_mut().fault_log().records() {
-                log.record(fault, 0);
+            for finding in &report.campaign.findings {
+                log.absorb(finding);
             }
             let text = log.to_text();
             if !json {

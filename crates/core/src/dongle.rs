@@ -120,8 +120,9 @@ impl Dongle {
         self.send_buf(buf);
     }
 
-    /// Injects raw bytes verbatim (the VFuzz-style MAC-mutation path and
-    /// replay attacks use this).
+    /// Injects raw bytes verbatim, with no routing header even when a
+    /// route is set (`FuzzMode::Vfuzz`'s MAC mutants and replay attacks
+    /// use this).
     pub fn inject_raw(&mut self, bytes: &[u8]) {
         let mut buf = self.pool.acquire();
         buf.make_mut().extend_from_slice(bytes);

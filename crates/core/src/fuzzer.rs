@@ -27,9 +27,9 @@ pub enum FuzzMode {
     /// the other [`FuzzConfig`] toggles.
     #[default]
     Zcover,
-    /// Blind uniform-random APL payloads — the in-suite stand-in for the
-    /// VFuzz baseline, fenced behind the same injection/oracle machinery
-    /// so discovery times are comparable.
+    /// The VFuzz baseline (Nkuba et al., Table V): captured frames
+    /// mutated at the MAC layer and injected raw, behind the same
+    /// injection/oracle machinery so discovery times are comparable.
     Vfuzz,
     /// Coverage-guided: deterministic plan bootstrap, then mutation of a
     /// corpus of edge-discovering inputs under a power schedule.
@@ -156,7 +156,9 @@ impl FuzzConfig {
         FuzzConfig { mode: FuzzMode::Coverage, ..FuzzConfig::full(testing_duration, seed) }
     }
 
-    /// The in-suite VFuzz baseline: blind uniform-random APL payloads.
+    /// The VFuzz baseline: MAC-level mutation of the frames fingerprinting
+    /// captured ([`Mutator::mac_mutant`]), injected raw. Raw mutants carry
+    /// no routing header, so on multi-hop homes they test direct reach only.
     pub fn vfuzz(testing_duration: Duration, seed: u64) -> Self {
         FuzzConfig { mode: FuzzMode::Vfuzz, ..FuzzConfig::full(testing_duration, seed) }
     }
@@ -394,6 +396,14 @@ impl CampaignResult {
     }
 }
 
+/// One test case as handed to the shared oracle: an application payload
+/// the dongle frames (MAC-valid), or raw MAC bytes injected verbatim.
+#[derive(Clone, Copy)]
+enum Probe<'a> {
+    Apl(&'a ApplicationPayload),
+    Mac(&'a [u8]),
+}
+
 /// The fuzzing engine.
 #[derive(Debug)]
 pub struct Fuzzer {
@@ -493,11 +503,18 @@ impl Fuzzer {
                 state.counters.corpus_size = corpus.len() as u64;
             }
             FuzzMode::Vfuzz => {
-                // The VFuzz baseline through the same injection/oracle
-                // machinery: blind uniform APL payloads, no feedback.
+                // MAC-level mutation of the sniffed traffic; a synthetic
+                // Basic Set seeds the corpus when nothing was captured.
+                let fallback = zwave_protocol::MacFrame::singlecast(
+                    scan.home_id,
+                    scan.spoof_source(),
+                    scan.controller,
+                    vec![0x20, 0x01, 0xFF],
+                )
+                .encode();
                 while clock.now() < state.deadline {
-                    let payload = state.mutator.random_payload();
-                    Self::send_and_observe(&mut state, &payload);
+                    let frame = state.mutator.mac_mutant(&scan.captures, &fallback);
+                    Self::send_and_observe(&mut state, Probe::Mac(&frame));
                 }
             }
             FuzzMode::Zcover if self.config.position_sensitive => {
@@ -540,7 +557,7 @@ impl Fuzzer {
                 // γ: uniform random CMDCL/CMD/PARAM packets.
                 while clock.now() < state.deadline {
                     let payload = state.mutator.random_payload();
-                    Self::send_and_observe(&mut state, &payload);
+                    Self::send_and_observe(&mut state, Probe::Apl(&payload));
                 }
             }
         }
@@ -612,7 +629,7 @@ impl Fuzzer {
                     state.counters.plans_executed += 1;
                     state.sink.plan_executed();
                     let before = state.target.coverage_edges();
-                    let hung = Self::send_and_observe(state, &payload);
+                    let hung = Self::send_and_observe(state, Probe::Apl(&payload));
                     observe_retention(state, &mut corpus, &payload, before);
                     if hung {
                         // Same starvation guard as Algorithm 1: a hanging
@@ -630,7 +647,7 @@ impl Fuzzer {
                 // to blind payloads until something lights an edge.
                 let payload = state.mutator.random_payload();
                 let before = state.target.coverage_edges();
-                Self::send_and_observe(state, &payload);
+                Self::send_and_observe(state, Probe::Apl(&payload));
                 observe_retention(state, &mut corpus, &payload, before);
                 continue;
             };
@@ -644,7 +661,7 @@ impl Fuzzer {
                 state.mutator.mutate(&mut payload, spec);
             }
             let before = state.target.coverage_edges();
-            Self::send_and_observe(state, &payload);
+            Self::send_and_observe(state, Probe::Apl(&payload));
             if observe_retention(state, &mut corpus, &payload, before) > 0 {
                 // The parent keeps paying off: schedule it more often.
                 corpus.boost(index, 1);
@@ -689,7 +706,7 @@ impl Fuzzer {
                 // A hang/outage means this command is conclusively
                 // vulnerable; spending further plans (and 60-240 s recovery
                 // waits each) on it would starve the rest of the queue.
-                if Self::send_and_observe(state, &payload) {
+                if Self::send_and_observe(state, Probe::Apl(&payload)) {
                     hung = true;
                     break;
                 }
@@ -704,7 +721,7 @@ impl Fuzzer {
                     break 'window;
                 }
                 state.mutator.mutate(&mut payload, spec);
-                if Self::send_and_observe(state, &payload) {
+                if Self::send_and_observe(state, Probe::Apl(&payload)) {
                     break;
                 }
             }
@@ -717,7 +734,7 @@ impl Fuzzer {
                 break;
             }
             state.mutator.mutate(&mut payload, spec);
-            Self::send_and_observe(state, &payload);
+            Self::send_and_observe(state, Probe::Apl(&payload));
         }
     }
 
@@ -761,17 +778,14 @@ impl Fuzzer {
                 payload = state.mutator.seed_payload(cc, 0x00);
             }
             state.mutator.mutate(&mut payload, spec);
-            let _ = Self::send_and_observe(state, &payload);
+            let _ = Self::send_and_observe(state, Probe::Apl(&payload));
         }
     }
 
     /// Executes one test case: inject, pump the network, wait, collect the
     /// verification oracle, monitor liveness, and wait out any outage.
     /// Returns `true` when the packet caused a timed outage (hang).
-    fn send_and_observe<T: FuzzTarget>(
-        state: &mut CampaignState<'_, T>,
-        payload: &ApplicationPayload,
-    ) -> bool {
+    fn send_and_observe<T: FuzzTarget>(state: &mut CampaignState<'_, T>, probe: Probe<'_>) -> bool {
         let src = state.scan.spoof_source();
         let dst = state.scan.controller;
         let home = state.scan.home_id;
@@ -807,7 +821,10 @@ impl Fuzzer {
             })
         };
         state.dongle.flush();
-        state.dongle.inject_apl(home, src, dst, payload.encode());
+        match probe {
+            Probe::Apl(payload) => state.dongle.inject_apl(home, src, dst, payload.encode()),
+            Probe::Mac(frame) => state.dongle.inject_raw(frame),
+        }
         let mut acked = check_ack(state);
         for _retry in 0..2 {
             if acked {
@@ -827,10 +844,13 @@ impl Fuzzer {
         state.packets += 1;
         state.counters.packets_sent += 1;
         state.sink.packet_sent();
-        state.cmdcl_coverage.insert(payload.command_class().0);
-        if let Some(cmd) = payload.command() {
-            state.cmd_coverage.insert(cmd);
-        }
+        // Table V counts the generated bytes at the CMDCL/CMD positions.
+        let (cmdcl, cmd) = match probe {
+            Probe::Apl(payload) => (Some(payload.command_class().0), payload.command()),
+            Probe::Mac(frame) => (frame.get(9).copied(), frame.get(10).copied()),
+        };
+        state.cmdcl_coverage.extend(cmdcl);
+        state.cmd_coverage.extend(cmd);
         // Absolute (not additive): the target's map is already cumulative.
         state.counters.edges_seen = state.target.coverage_edges();
 

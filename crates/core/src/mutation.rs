@@ -7,14 +7,18 @@
 //! `rand invalid`, `arith`, `interesting`, `insert` — informed by the
 //! specification's per-parameter value ranges (dynamic/semantic mutation)
 //! and by boundary testing.
+//!
+//! The VFuzz baseline's MAC-field operators (Section IV-C) live here too,
+//! so every engine draws from one seeded RNG.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use zwave_protocol::apl::{ApplicationPayload, FieldPosition};
 use zwave_protocol::registry::{CommandClassSpec, Registry};
 use zwave_protocol::{CommandClassId, NodeId};
+use zwave_radio::FrameBuf;
 
 /// The "interesting" byte values of Table I's `interesting` operator:
 /// extremes, off-by-one neighbours and sign boundaries.
@@ -47,6 +51,9 @@ impl MutationOp {
         ]
     }
 }
+
+/// How many MAC-field operations VFuzz stacks on one test frame (1..=n).
+const MAC_OPS_PER_FRAME: u32 = 3;
 
 /// The position-sensitive mutator.
 #[derive(Debug)]
@@ -262,6 +269,50 @@ impl Mutator {
         ApplicationPayload::new(cc, cmd, params)
     }
 
+    /// One VFuzz test frame (Nkuba et al., IEEE Access 2022): a random
+    /// captured frame — `fallback` when nothing was captured — with 1..=3
+    /// MAC-field operations stacked on it. No
+    /// application-layer awareness: the checksum is not repaired, so most
+    /// mutants die at MAC validation.
+    pub fn mac_mutant(&mut self, corpus: &[FrameBuf], fallback: &[u8]) -> Vec<u8> {
+        let mut frame = corpus.choose(&mut self.rng).map_or(fallback, |f| f.as_slice()).to_vec();
+        for _ in 0..self.rng.gen_range(1..=MAC_OPS_PER_FRAME) {
+            self.apply_mac_op(&mut frame);
+        }
+        frame
+    }
+
+    fn apply_mac_op(&mut self, frame: &mut Vec<u8>) {
+        if frame.len() < 10 {
+            frame.resize(10, 0);
+        }
+        // VFuzz's nine MAC-layer operators, drawn uniformly: overwrite a
+        // header byte (source, frame control P1/P2, length, destination),
+        // overwrite the checksum, flip a payload byte, truncate, append.
+        match self.rng.next_u64() % 9 {
+            header @ 0..=4 => frame[4 + header as usize] = self.rng.gen(),
+            5 => {
+                let last = frame.len() - 1;
+                frame[last] = self.rng.gen();
+            }
+            6 => {
+                let idx = self.rng.gen_range(9..frame.len());
+                frame[idx] ^= self.rng.gen_range(1..=255u8);
+            }
+            7 => {
+                // Keep at least the home id so the frame is attributable.
+                let new_len = self.rng.gen_range(4..frame.len().max(5));
+                frame.truncate(new_len);
+            }
+            _ => {
+                for _ in 0..self.rng.gen_range(1..=4) {
+                    frame.push(self.rng.gen());
+                }
+                frame.truncate(64);
+            }
+        }
+    }
+
     /// The semantic node-id pool.
     pub fn semantic_nodes(&self) -> &[u8] {
         &self.semantic_nodes
@@ -383,6 +434,23 @@ mod tests {
         }
         // Uniform draws over 256 values should show wide spread.
         assert!(classes.len() > 100, "spread {}", classes.len());
+    }
+
+    #[test]
+    fn mac_mutants_keep_the_home_id_and_frame_bounds() {
+        let mut m = mutator();
+        let seed =
+            FrameBuf::from(vec![0xCB, 0x95, 0xA3, 0x4A, 2, 0x41, 1, 13, 1, 0x20, 1, 0xFF, 0]);
+        let mut changed = 0;
+        for _ in 0..500 {
+            let frame = m.mac_mutant(std::slice::from_ref(&seed), &[]);
+            assert_eq!(frame[..4], seed[..4], "the home id is never mutated");
+            assert!((4..=64).contains(&frame.len()), "length {}", frame.len());
+            changed += usize::from(frame.as_slice() != seed.as_slice());
+        }
+        assert!(changed > 450, "only {changed} of 500 mutants differ from the seed");
+        // Nothing captured: the fallback frame seeds the mutants.
+        assert_eq!(m.mac_mutant(&[], &seed)[..4], seed[..4]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use zwave_protocol::dissect::Dissection;
 use zwave_protocol::{HomeId, NodeId};
-use zwave_radio::{Medium, Sniffer};
+use zwave_radio::{FrameBuf, Medium, Sniffer};
 
 /// Aggregate traffic statistics from the capture window.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -48,6 +48,9 @@ pub struct ScanReport {
     pub frames_captured: usize,
     /// Traffic statistics over the capture window.
     pub traffic: TrafficStats,
+    /// The well-formed captured frames on `home_id`, in capture order
+    /// (shared buffers, not copies) — the VFuzz engine's seed corpus.
+    pub captures: Vec<FrameBuf>,
 }
 
 impl ScanReport {
@@ -79,11 +82,11 @@ impl PassiveScanner {
     /// participating in the most exchanges (hubs are the traffic centre).
     pub fn analyze(&mut self) -> Option<ScanReport> {
         self.sniffer.poll();
-        let dissections: Vec<Dissection> = self
+        let dissections: Vec<(Dissection, &FrameBuf)> = self
             .sniffer
             .captures()
             .iter()
-            .filter_map(|f| Dissection::from_buf(&f.bytes).ok())
+            .filter_map(|f| Dissection::from_buf(&f.bytes).ok().map(|d| (d, &f.bytes)))
             .collect();
         if dissections.is_empty() {
             return None;
@@ -91,14 +94,19 @@ impl PassiveScanner {
 
         // Majority home id.
         let mut home_votes: BTreeMap<u32, usize> = BTreeMap::new();
-        for d in &dissections {
+        for (d, _) in &dissections {
             *home_votes.entry(d.home_id.0).or_default() += 1;
         }
         let home_id = HomeId(*home_votes.iter().max_by_key(|(_, v)| **v).map(|(k, _)| k)?);
+        let (on_home, captures): (Vec<&Dissection>, Vec<FrameBuf>) = dissections
+            .iter()
+            .filter(|(d, _)| d.home_id == home_id)
+            .map(|(d, bytes)| (d, (*bytes).clone()))
+            .unzip();
 
         // Node participation counts on that network.
         let mut participation: BTreeMap<u8, usize> = BTreeMap::new();
-        for d in dissections.iter().filter(|d| d.home_id == home_id) {
+        for d in &on_home {
             for node in [d.src, d.dst] {
                 if !node.is_broadcast() {
                     *participation.entry(node.0).or_default() += 1;
@@ -117,7 +125,7 @@ impl PassiveScanner {
             participation.keys().filter(|&&n| n != controller.0).map(|&n| NodeId(n)).collect();
 
         let mut traffic = TrafficStats::default();
-        for d in dissections.iter().filter(|d| d.home_id == home_id) {
+        for d in &on_home {
             *traffic.frames_per_node.entry(d.src.0).or_default() += 1;
             if let Some(apl) = &d.apl {
                 let cc = apl.command_class().0;
@@ -135,6 +143,7 @@ impl PassiveScanner {
             slaves,
             frames_captured: dissections.len(),
             traffic,
+            captures,
         })
     }
 
@@ -191,8 +200,22 @@ mod tests {
             slaves: vec![],
             frames_captured: 0,
             traffic: TrafficStats::default(),
+            captures: Vec::new(),
         };
         assert_eq!(empty.spoof_source(), NodeId(0x0F));
+    }
+
+    #[test]
+    fn captures_keep_the_real_frames_on_the_home_id() {
+        let mut tb = Testbed::new(DeviceModel::D1, 1);
+        let mut scanner = PassiveScanner::new(tb.medium(), 70.0);
+        for _ in 0..3 {
+            tb.exchange_normal_traffic();
+        }
+        let report = scanner.analyze().unwrap();
+        assert!(!report.captures.is_empty());
+        assert!(report.captures.len() <= report.frames_captured);
+        assert!(report.captures.iter().all(|f| f[..4] == report.home_id.to_bytes()));
     }
 }
 

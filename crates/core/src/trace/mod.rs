@@ -46,7 +46,6 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use zwave_controller::testbed::{DeviceModel, Testbed};
-use zwave_controller::HomeNetwork;
 use zwave_radio::sched::{Event, EventKind, EventObserver};
 use zwave_radio::{ImpairmentProfile, Medium, SimClock, SimScheduler};
 
@@ -481,8 +480,6 @@ pub struct RecordedCampaign {
     pub trace: Trace,
     /// The three-phase pipeline report of the recorded run.
     pub report: ZCoverReport,
-    /// The testbed the trial ran against (for oracle inspection).
-    pub testbed: HomeNetwork,
 }
 
 /// Runs the full three-phase pipeline on a fresh testbed with a recorder
@@ -511,7 +508,7 @@ pub fn record_campaign(
     let mut zcover = ZCover::attach(&testbed, 70.0);
     let report = zcover.run_campaign_with_sink(&mut testbed, config, &mut recorder)?;
     let trace = recorder.finish(&report.campaign);
-    Ok(RecordedCampaign { trace, report, testbed })
+    Ok(RecordedCampaign { trace, report })
 }
 
 // ───────────────────────── replay & diffing ─────────────────────────

@@ -184,3 +184,32 @@ fn trace_stats_reports_cross_trial_identity() {
     assert!(stdout.contains("\"per_cmdcl\""), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn fuzz_bug_log_carries_the_packets_each_finding_took() {
+    let dir = tmp_dir("buglog");
+    let log = dir.join("bugs.txt");
+    let args = ["fuzz", "--device", "D1", "--hours", "0.05", "--seed", "3"];
+    let out = zcover(&[&args[..], &["--log", log.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let logged: Vec<String> = std::fs::read_to_string(&log)
+        .unwrap()
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| line.split(" | ").nth(6).expect("packets column").to_string())
+        .collect();
+
+    let out = zcover(&[&args[..], &["--format", "json"]].concat());
+    assert!(out.status.success());
+    let json = String::from_utf8_lossy(&out.stdout);
+    let key = "\"found_after_packets\":";
+    let reported: Vec<String> = json
+        .match_indices(key)
+        .map(|(at, _)| {
+            json[at + key.len()..].chars().take_while(char::is_ascii_digit).collect::<String>()
+        })
+        .collect();
+    assert!(!reported.is_empty(), "the campaign must find something: {json}");
+    assert_eq!(logged, reported, "--log packets column disagrees with the JSON findings");
+    std::fs::remove_dir_all(&dir).ok();
+}

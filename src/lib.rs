@@ -6,7 +6,6 @@
 //! directly ([`zcover`], [`zwave_controller`], ...).
 
 pub use trace_format;
-pub use vfuzz;
 pub use zcover;
 pub use zwave_controller;
 pub use zwave_crypto;

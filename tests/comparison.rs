@@ -7,15 +7,17 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use zcover_suite::vfuzz::{capture_corpus, VFuzz, VFuzzConfig};
-use zcover_suite::zcover::{Dongle, FuzzConfig, PassiveScanner, ZCover};
+use zcover_suite::zcover::{CampaignResult, FuzzConfig, ZCover};
 use zcover_suite::zwave_controller::testbed::{DeviceModel, Testbed};
 
-fn campaign_findings(model: DeviceModel, seed: u64, config: FuzzConfig) -> BTreeSet<u8> {
+fn campaign(model: DeviceModel, seed: u64, config: FuzzConfig) -> CampaignResult {
     let mut tb = Testbed::new(model, seed);
     let mut zc = ZCover::attach(&tb, 70.0);
-    let report = zc.run_campaign(&mut tb, config).unwrap();
-    report.campaign.findings.iter().map(|f| f.bug_id).collect()
+    zc.run_campaign(&mut tb, config).unwrap().campaign
+}
+
+fn campaign_findings(model: DeviceModel, seed: u64, config: FuzzConfig) -> BTreeSet<u8> {
+    campaign(model, seed, config).findings.iter().map(|f| f.bug_id).collect()
 }
 
 fn zcover_findings(model: DeviceModel, seed: u64) -> BTreeSet<u8> {
@@ -23,14 +25,11 @@ fn zcover_findings(model: DeviceModel, seed: u64) -> BTreeSet<u8> {
 }
 
 fn vfuzz_findings(model: DeviceModel, seed: u64) -> BTreeSet<u8> {
-    let mut tb = Testbed::new(model, seed);
-    let corpus = capture_corpus(&mut tb, 3);
-    let mut passive = PassiveScanner::new(tb.medium(), 70.0);
-    tb.exchange_normal_traffic();
-    let scan = passive.analyze().unwrap();
-    let mut dongle = Dongle::attach(tb.medium(), 70.0);
-    let fuzzer = VFuzz::new(VFuzzConfig::comparison(Duration::from_secs(12 * 3600), seed));
-    fuzzer.run(&mut tb, &mut dongle, &scan, &corpus).findings.iter().map(|f| f.bug_id).collect()
+    campaign_findings(model, seed, FuzzConfig::vfuzz(Duration::from_secs(12 * 3600), seed))
+}
+
+fn vfuzz_hours(model: DeviceModel, hours: u64, seed: u64) -> CampaignResult {
+    campaign(model, seed, FuzzConfig::vfuzz(Duration::from_secs(hours * 3600), seed))
 }
 
 #[test]
@@ -88,17 +87,48 @@ fn coverage_mode_subsumes_zcover_findings_on_every_device() {
 
 #[test]
 fn in_suite_vfuzz_mode_matches_the_blind_baseline_profile() {
-    // The in-suite `--mode vfuzz` engine reproduces the comparison
-    // profile of the standalone VFuzz tool: blind random APL injection
-    // through the same oracle finds at most shallow bugs, never the
-    // deep Table III set the guided engines reach.
+    // The `--mode vfuzz` engine keeps the paper's comparison profile: MAC
+    // mutation through the same oracle finds at most the shallow one-day
+    // quirks (ids > 100), never the deep Table III set the guided engines
+    // reach.
     let budget = Duration::from_secs(2 * 3600);
     let v = campaign_findings(DeviceModel::D1, 6, FuzzConfig::vfuzz(budget, 6));
     let z = campaign_findings(DeviceModel::D1, 6, FuzzConfig::full(budget, 6));
+    assert!(v.iter().all(|&id| id > 100), "vfuzz found Table III bugs: {v:?}");
     assert!(
         v.len() < z.len(),
-        "blind mode found {} bugs vs zcover's {} — it should trail the guided engines",
+        "vfuzz found {} bugs vs zcover's {} — it should trail the guided engines",
         v.len(),
         z.len()
     );
+}
+
+#[test]
+fn vfuzz_finds_the_mac_quirks_on_d4_but_no_zcover_bugs() {
+    // Table V: D4 yields 4 findings for VFuzz; none overlap with
+    // ZCover's fifteen.
+    let ids: BTreeSet<u8> =
+        vfuzz_hours(DeviceModel::D4, 24, 42).findings.iter().map(|f| f.bug_id).collect();
+    assert_eq!(ids, BTreeSet::from([101, 102, 103, 104]), "found {ids:?}");
+}
+
+#[test]
+fn vfuzz_finds_nothing_on_d3() {
+    // Table V: D3 and D5 yield zero findings for VFuzz.
+    let result = vfuzz_hours(DeviceModel::D3, 24, 7);
+    assert_eq!(result.unique_vulns(), 0);
+    assert!(result.packets_sent > 50_000, "sent {}", result.packets_sent);
+}
+
+#[test]
+fn vfuzz_generated_coverage_is_indiscriminate() {
+    // Table V: 256 CMDCLs / 256 CMDs for VFuzz.
+    let result = vfuzz_hours(DeviceModel::D5, 24, 9);
+    assert_eq!(result.cmdcl_coverage.len(), 256);
+    assert_eq!(result.cmd_coverage.len(), 256);
+}
+
+#[test]
+fn one_hour_of_vfuzz_is_mostly_fruitless() {
+    assert!(vfuzz_hours(DeviceModel::D1, 1, 3).unique_vulns() <= 1);
 }

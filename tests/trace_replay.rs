@@ -144,30 +144,40 @@ fn mid_stream_divergence_carries_context_lines() {
 #[test]
 fn executor_recorded_trials_are_worker_count_independent() {
     // Each worker records its claimed trials into per-trial files; the
-    // files must be byte-identical whether one worker or four ran them.
+    // files must be byte-identical whether one worker or four ran them —
+    // for the APL-injecting engine and the raw MAC-injecting one alike.
     let tmp = std::env::temp_dir().join(format!("zcover_trace_wc_{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("temp dir");
-    let config = FuzzConfig::full(std::time::Duration::from_secs(30), 5);
-    let record = |workers: usize, tag: &str| -> Vec<String> {
-        let spec = TraceSpec {
-            device: "D1".to_string(),
-            config_name: "full".to_string(),
-            prefix: tmp.join(tag),
+    for config_name in ["full", "vfuzz"] {
+        let config = FuzzConfig::named(config_name, std::time::Duration::from_secs(30), 5)
+            .expect("known configuration name");
+        let record = |workers: usize, tag: &str| -> Vec<String> {
+            let spec = TraceSpec {
+                device: "D1".to_string(),
+                config_name: config_name.to_string(),
+                prefix: tmp.join(format!("{config_name}_{tag}")),
+            };
+            let model = zcover_suite::zwave_controller::testbed::DeviceModel::D1;
+            CampaignExecutor::new(workers)
+                .run_with_trace(3, 5, |seed| Testbed::new(model, seed), &config, Some(&spec))
+                .expect("trials run");
+            (0..3)
+                .map(|t| std::fs::read_to_string(spec.trial_path(t)).expect("trace written"))
+                .collect()
         };
-        let model = zcover_suite::zwave_controller::testbed::DeviceModel::D1;
-        CampaignExecutor::new(workers)
-            .run_with_trace(3, 5, |seed| Testbed::new(model, seed), &config, Some(&spec))
-            .expect("trials run");
-        (0..3)
-            .map(|t| std::fs::read_to_string(spec.trial_path(t)).expect("trace written"))
-            .collect()
-    };
-    let sequential = record(1, "seq");
-    let parallel = record(4, "par");
-    assert_eq!(sequential, parallel, "worker scheduling leaked into a recorded trace");
-    for (trial, text) in sequential.iter().enumerate() {
-        let trace = Trace::from_jsonl(text).expect("well-formed per-trial trace");
-        assert!(replay(&trace).expect("replays").is_clean(), "trial {trial} not replayable");
+        let sequential = record(1, "seq");
+        let parallel = record(4, "par");
+        assert_eq!(
+            sequential, parallel,
+            "{config_name}: worker scheduling leaked into a recorded trace"
+        );
+        for (trial, text) in sequential.iter().enumerate() {
+            let trace = Trace::from_jsonl(text).expect("well-formed per-trial trace");
+            assert!(
+                replay(&trace).expect("replays").is_clean(),
+                "{config_name} trial {trial} not replayable"
+            );
+        }
     }
     std::fs::remove_dir_all(&tmp).ok();
 }
