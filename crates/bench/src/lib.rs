@@ -1,8 +1,7 @@
 //! Experiment harness regenerating every table and figure of the ZCover
 //! paper's evaluation section.
 //!
-//! Each experiment is a library function (so Criterion benches and the
-//! per-table binaries share one implementation):
+//! Each experiment is a library function the per-table binaries share:
 //!
 //! | Target | Regenerates |
 //! |---|---|

@@ -26,24 +26,33 @@ use std::time::Duration;
 
 use zcover::{
     run_sweep, ActiveScanner, BugLog, CampaignExecutor, FuzzConfig, ImpairmentProfile, Scenario,
-    SweepConfig, SweepRecord, Trace, TraceSpec, TraceStats, UnknownDiscovery, ZCover,
-    DEFAULT_SHARD_SIZE,
+    SweepConfig, Trace, TraceSpec, TraceStats, UnknownDiscovery, ZCover, DEFAULT_SHARD_SIZE,
 };
 use zwave_controller::testbed::{DeviceModel, Testbed};
 use zwave_controller::Topology;
 
 fn parse_device(args: &[String]) -> DeviceModel {
     let idx = flag(args, "--device").unwrap_or_else(|| "D1".to_string());
-    DeviceModel::all().into_iter().find(|m| m.idx().eq_ignore_ascii_case(&idx)).unwrap_or_else(
-        || {
-            eprintln!("unknown device {idx}; expected D1..D7");
-            std::process::exit(2);
-        },
-    )
+    DeviceModel::parse(&idx).unwrap_or_else(|| {
+        eprintln!("unknown device {idx}; expected D1..D7");
+        std::process::exit(2);
+    })
 }
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+}
+
+/// The numeric value of flag `name`, or `default` when it is absent. An
+/// unparsable value exits with status 2 naming the flag and the value.
+fn num_flag<N: std::str::FromStr>(args: &[String], name: &str, default: N) -> N {
+    match flag(args, name) {
+        None => default,
+        Some(value) => value.parse().unwrap_or_else(|_| {
+            eprintln!("invalid {name} value {value:?}; expected a number");
+            std::process::exit(2);
+        }),
+    }
 }
 
 fn parse_topology(args: &[String]) -> Topology {
@@ -70,11 +79,10 @@ fn parse_scenario(args: &[String]) -> Scenario {
     })
 }
 
-/// The canonical configuration name selected by `--mode` / `--config`
-/// (also recorded in trace headers so `zcover replay` can rebuild the
-/// configuration). `--mode zcover` (the default) defers to `--config`;
-/// the coverage and vfuzz (MAC-level mutation) engines are whole
-/// configurations of their own.
+/// The canonical configuration name selected by `--mode` / `--config`.
+/// `--mode zcover` (the default) defers to `--config`; the coverage and
+/// vfuzz (MAC-level mutation) engines are whole configurations of their
+/// own.
 fn config_name(args: &[String]) -> String {
     match flag(args, "--mode").as_deref() {
         None | Some("zcover") => flag(args, "--config").unwrap_or_else(|| "full".to_string()),
@@ -141,7 +149,7 @@ fn load_trace(path: &str) -> (Vec<u8>, Trace) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
-    let seed: u64 = flag(&args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(42);
+    let seed: u64 = num_flag(&args, "--seed", 42);
 
     match command {
         "fingerprint" => {
@@ -192,7 +200,7 @@ fn main() {
         }
         "fuzz" => {
             let model = parse_device(&args);
-            let hours: f64 = flag(&args, "--hours").and_then(|s| s.parse().ok()).unwrap_or(1.0);
+            let hours: f64 = num_flag(&args, "--hours", 1.0);
             let budget = Duration::from_secs_f64(hours * 3600.0);
             let config = parse_config(&args, budget, seed);
             let profile = config.impairment;
@@ -201,19 +209,18 @@ fn main() {
                 "fuzzing {} for {hours}h virtual (seed {seed}, channel {profile}) ...",
                 model.idx()
             );
+            let mut tb = Testbed::new(model, seed);
             let report = match flag(&args, "--record") {
                 Some(path) => {
-                    let rec = zcover::record_campaign(model, &config_name(&args), config)
+                    let rec = zcover::record_on(&mut tb, model.idx(), config)
                         .expect("fingerprinting failed");
                     rec.trace.save(Path::new(&path)).expect("writing the trace file");
                     eprintln!("trace recorded to {path} ({} events)", rec.trace.events.len());
                     rec.report
                 }
-                None => {
-                    let mut tb = Testbed::new(model, seed);
-                    let mut zc = ZCover::attach(&tb, 70.0);
-                    zc.run_campaign(&mut tb, config).expect("fingerprinting failed")
-                }
+                None => ZCover::attach(&tb, 70.0)
+                    .run_campaign(&mut tb, config)
+                    .expect("fingerprinting failed"),
             };
             if let Some(path) = flag(&args, "--report") {
                 let device = model.config();
@@ -263,10 +270,9 @@ fn main() {
         }
         "trials" => {
             let model = parse_device(&args);
-            let hours: f64 = flag(&args, "--hours").and_then(|s| s.parse().ok()).unwrap_or(1.0);
-            let trials: u64 =
-                flag(&args, "--trials").and_then(|s| s.parse().ok()).unwrap_or(5).max(1);
-            let workers: usize = flag(&args, "--workers").and_then(|s| s.parse().ok()).unwrap_or(1);
+            let hours: f64 = num_flag(&args, "--hours", 1.0);
+            let trials: u64 = num_flag(&args, "--trials", 5u64).max(1);
+            let workers: usize = num_flag(&args, "--workers", 1);
             let budget = Duration::from_secs_f64(hours * 3600.0);
             let config = parse_config(&args, budget, seed);
             let profile = config.impairment;
@@ -278,11 +284,8 @@ fn main() {
                 model.idx(),
                 executor.workers()
             );
-            let trace_spec = flag(&args, "--record").map(|prefix| TraceSpec {
-                device: model.idx().to_string(),
-                config_name: config_name(&args),
-                prefix: prefix.into(),
-            });
+            let trace_spec = flag(&args, "--record")
+                .map(|prefix| TraceSpec { device: model.idx().to_string(), prefix: prefix.into() });
             let summary = executor
                 .run_with_trace(
                     trials,
@@ -357,27 +360,23 @@ fn main() {
             }
         }
         "sweep" => {
-            let homes: u64 = flag(&args, "--homes").and_then(|s| s.parse().ok()).unwrap_or(64);
+            let homes: u64 = num_flag(&args, "--homes", 64);
             let topology = parse_topology(&args);
             // A short per-home budget is the whole point of a sweep:
             // breadth over depth. 180 virtual seconds survives discovery,
             // the high-priority classes, and a couple of outage recoveries
             // on every Table II model — enough for several bug classes
             // per home while 10 000 homes still sweep in about a minute.
-            let hours: f64 = flag(&args, "--hours").and_then(|s| s.parse().ok()).unwrap_or(0.05);
-            let workers: usize = flag(&args, "--workers").and_then(|s| s.parse().ok()).unwrap_or(1);
-            let shard_size: u64 = flag(&args, "--shard-size")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(DEFAULT_SHARD_SIZE);
+            let hours: f64 = num_flag(&args, "--hours", 0.05);
+            let workers: usize = num_flag(&args, "--workers", 1);
+            let shard_size: u64 = num_flag(&args, "--shard-size", DEFAULT_SHARD_SIZE);
             let budget = Duration::from_secs_f64(hours * 3600.0);
             let base = parse_config(&args, budget, seed);
             let profile = base.impairment;
             let json = json_output(&args);
             let mut config = SweepConfig::new(homes, topology, base).with_shard_size(shard_size);
-            let record = flag(&args, "--record-dir")
-                .map(|dir| SweepRecord { dir: dir.into(), config_name: config_name(&args) });
-            if let Some(record) = record.clone() {
-                config = config.with_record(record);
+            if let Some(dir) = flag(&args, "--record-dir") {
+                config = config.with_record_dir(dir);
             }
             let executor = CampaignExecutor::new(workers);
             eprintln!(
@@ -388,11 +387,11 @@ fn main() {
                 executor.workers()
             );
             let (summary, timing) = run_sweep(&executor, &config).expect("sweep failed");
-            if let Some(record) = &record {
+            if let Some(dir) = &config.record_dir {
                 eprintln!(
                     "per-home traces recorded to {} .. {}",
-                    record.home_path(0).display(),
-                    record.home_path(homes.saturating_sub(1)).display()
+                    SweepConfig::home_trace_path(dir, 0).display(),
+                    SweepConfig::home_trace_path(dir, homes.saturating_sub(1)).display()
                 );
             }
             // Throughput is real wall-clock and goes to stderr; stdout

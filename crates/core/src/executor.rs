@@ -24,11 +24,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::fuzzer::{CampaignResult, FuzzConfig};
+use crate::fuzzer::FuzzConfig;
 use crate::target::FuzzTarget;
-use crate::trace::{TraceMeta, TraceRecorder};
+use crate::trace::run_maybe_recorded;
 use crate::trials::TrialSummary;
-use crate::{ZCover, ZCoverError};
+use crate::ZCoverError;
 
 /// The per-trial seed: output `trial + 1` of a splitmix64 stream whose
 /// state starts at `campaign_seed`. A closed form rather than an iterated
@@ -54,8 +54,6 @@ pub fn derive_trial_seed(campaign_seed: u64, trial: u64) -> u64 {
 pub struct TraceSpec {
     /// Device model index recorded in each header (`D1`..`D7`).
     pub device: String,
-    /// Canonical configuration name recorded in each header.
-    pub config_name: String,
     /// Path prefix for the per-trial files (a `.jsonl` or `.zct` suffix,
     /// if present, is stripped and selects the per-trial file format).
     pub prefix: PathBuf,
@@ -88,12 +86,6 @@ impl CampaignExecutor {
     /// An executor with `workers` threads (clamped to at least 1).
     pub fn new(workers: usize) -> Self {
         CampaignExecutor { workers: workers.max(1) }
-    }
-
-    /// The single-threaded executor: runs every trial inline on the
-    /// calling thread, in trial order.
-    pub fn sequential() -> Self {
-        CampaignExecutor::new(1)
     }
 
     /// Number of worker threads.
@@ -147,15 +139,18 @@ impl CampaignExecutor {
         T: FuzzTarget,
         F: Fn(u64) -> T + Sync,
     {
+        // One complete trial per index: fresh target, fingerprint,
+        // discovery, campaign — journaled to the trial's own file when
+        // recording, exactly as `zcover fuzz --record` would.
         let results = self.map_indexed(trials, |trial| {
-            run_one(trial, campaign_seed, &make_target, base_config, trace)
+            let seed = derive_trial_seed(campaign_seed, trial);
+            let config = FuzzConfig { seed, ..base_config.clone() };
+            let record = trace.map(|spec| (spec.device.as_str(), spec.trial_path(trial)));
+            run_maybe_recorded(&mut make_target(seed), config, record)
         });
         // Merge in trial-index order; the first failing trial's error wins
         // independent of which worker finished when.
-        let mut per_trial = Vec::with_capacity(results.len());
-        for outcome in results {
-            per_trial.push(outcome?);
-        }
+        let per_trial = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(TrialSummary::from_trials(per_trial))
     }
 
@@ -201,53 +196,6 @@ impl CampaignExecutor {
     }
 }
 
-/// One complete trial: fresh target, fingerprint, discovery, campaign —
-/// optionally journaled to the trial's own trace file. The recorder is
-/// attached before the pipeline (matching [`crate::trace::record_campaign`]),
-/// so a recorded trial replays byte-identically.
-fn run_one<T, F>(
-    trial: u64,
-    campaign_seed: u64,
-    make_target: &F,
-    base_config: &FuzzConfig,
-    trace: Option<&TraceSpec>,
-) -> Result<CampaignResult, ZCoverError>
-where
-    T: FuzzTarget,
-    F: Fn(u64) -> T,
-{
-    let seed = derive_trial_seed(campaign_seed, trial);
-    let mut target = make_target(seed);
-    let config = FuzzConfig { seed, ..base_config.clone() };
-    let recorder = trace.map(|spec| {
-        let meta = TraceMeta {
-            device: spec.device.clone(),
-            seed,
-            config: spec.config_name.clone(),
-            impairment: config.impairment,
-            budget: config.testing_duration,
-            scenario: config.scenario,
-        };
-        TraceRecorder::attach(target.medium(), meta)
-    });
-    let mut zcover = ZCover::attach(&target, 70.0);
-    let campaign = match recorder {
-        None => zcover.run_campaign(&mut target, config)?.campaign,
-        Some(mut recorder) => {
-            let campaign =
-                zcover.run_campaign_with_sink(&mut target, config, &mut recorder)?.campaign;
-            let spec = trace.expect("recorder implies spec");
-            let path = spec.trial_path(trial);
-            recorder
-                .finish(&campaign)
-                .save(&path)
-                .map_err(|e| ZCoverError::TraceIo(e.to_string()))?;
-            campaign
-        }
-    };
-    Ok(campaign)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,11 +234,8 @@ mod tests {
 
     #[test]
     fn trace_spec_extension_selects_the_per_trial_format() {
-        let spec = |prefix: &str| TraceSpec {
-            device: "D1".to_string(),
-            config_name: "full".to_string(),
-            prefix: PathBuf::from(prefix),
-        };
+        let spec =
+            |prefix: &str| TraceSpec { device: "D1".to_string(), prefix: PathBuf::from(prefix) };
         assert_eq!(spec("out.jsonl").trial_path(2), PathBuf::from("out.trial2.jsonl"));
         assert_eq!(spec("out").trial_path(0), PathBuf::from("out.trial0.jsonl"));
         assert_eq!(spec("out.zct").trial_path(3), PathBuf::from("out.trial3.zct"));
@@ -299,7 +244,6 @@ mod tests {
     #[test]
     fn executor_clamps_workers() {
         assert_eq!(CampaignExecutor::new(0).workers(), 1);
-        assert_eq!(CampaignExecutor::sequential().workers(), 1);
         assert_eq!(CampaignExecutor::new(8).workers(), 8);
     }
 }

@@ -19,14 +19,27 @@ use crate::passive::ScanReport;
 use crate::scenarios::{Scenario, ScenarioDriver};
 use crate::target::FuzzTarget;
 
-/// Which fuzzing engine drives the campaign — the axis of the three-way
-/// comparison (`zcover trials --mode`, `bench_coverage`).
+/// Which campaign configuration drives the fuzzer: one variant per
+/// canonical configuration name of the paper's evaluation (full ZCover,
+/// the Table VI ablations, the extended ablations, the Table V VFuzz
+/// baseline, and the coverage-guided mode).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FuzzMode {
-    /// The paper's positional fuzzer (Algorithm 1), possibly ablated by
-    /// the other [`FuzzConfig`] toggles.
+    /// The paper's positional fuzzer (Algorithm 1), full configuration
+    /// (Table VI test 1).
     #[default]
     Zcover,
+    /// ZCover β: known (NIF-listed) CMDCLs only (Table VI test 2).
+    Beta,
+    /// ZCover γ: uniform random CMDCL, CMD and PARAMs, no
+    /// position-sensitive mutation (Table VI test 3).
+    Gamma,
+    /// Extended ablation: no command-count prioritisation (queue scanned
+    /// ascending by CMDCL id).
+    NoPriority,
+    /// Extended ablation: no semantic/boundary exploration plans (random
+    /// position-sensitive mutation only).
+    NoPlans,
     /// The VFuzz baseline (Nkuba et al., Table V): captured frames
     /// mutated at the MAC layer and injected raw, behind the same
     /// injection/oracle machinery so discovery times are comparable.
@@ -37,23 +50,29 @@ pub enum FuzzMode {
 }
 
 impl FuzzMode {
-    /// Canonical CLI/JSON name.
+    /// The engine name reported in JSON output: `zcover` for the
+    /// positional fuzzer and its ablations, else `vfuzz` / `coverage`.
     pub fn name(self) -> &'static str {
         match self {
-            FuzzMode::Zcover => "zcover",
             FuzzMode::Vfuzz => "vfuzz",
             FuzzMode::Coverage => "coverage",
+            _ => "zcover",
         }
     }
 
-    /// Parses a canonical name; `None` for an unknown one.
-    pub fn parse(name: &str) -> Option<FuzzMode> {
-        Some(match name {
-            "zcover" => FuzzMode::Zcover,
-            "vfuzz" => FuzzMode::Vfuzz,
-            "coverage" => FuzzMode::Coverage,
-            _ => return None,
-        })
+    /// The canonical configuration name: the `--config` vocabulary of
+    /// the `zcover` CLI and the `config` field of recorded traces
+    /// ([`FuzzConfig::named`] parses it back).
+    pub fn config_name(self) -> &'static str {
+        match self {
+            FuzzMode::Zcover => "full",
+            FuzzMode::Beta => "beta",
+            FuzzMode::Gamma => "gamma",
+            FuzzMode::NoPriority => "no-priority",
+            FuzzMode::NoPlans => "no-plans",
+            FuzzMode::Vfuzz => "vfuzz",
+            FuzzMode::Coverage => "coverage",
+        }
     }
 }
 
@@ -63,34 +82,26 @@ impl std::fmt::Display for FuzzMode {
     }
 }
 
-/// Fuzzing configuration, including the ablation toggles of Table VI.
+/// Per-CMDCL packet budget (the `C_T` window of Algorithm 1, expressed in
+/// packets so that outage-recovery waits do not eat the window).
+const PER_CMDCL_PACKETS: u64 = 400;
+
+/// Random mutation packets appended after the deterministic plans of each
+/// CMDCL window.
+const EXTRA_RANDOM_PACKETS: u32 = 20;
+
+/// Fuzzing configuration: which campaign ([`FuzzMode`]), for how long,
+/// from which seed, on which channel, against which adversary.
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
     /// Total campaign budget (`Testing_T`, "0.1 to 24 hours").
     pub testing_duration: Duration,
-    /// Per-CMDCL packet budget (the `C_T` window of Algorithm 1, expressed
-    /// in packets so that outage-recovery waits do not eat the window).
-    pub per_cmdcl_packets: u32,
-    /// Random mutation packets appended after the deterministic plans of
-    /// each CMDCL window.
-    pub extra_random_packets: u32,
-    /// Fuzz unlisted/proprietary classes too (disabled in ZCover β).
-    pub use_unknown_cmdcls: bool,
-    /// Position-sensitive mutation (disabled in ZCover γ, which draws
-    /// CMDCL, CMD and PARAMs uniformly at random).
-    pub position_sensitive: bool,
-    /// Order the queue by command count (Section III-C1's prioritisation);
-    /// disabled in the extended ablation, which scans ascending by id.
-    pub prioritize: bool,
-    /// Use the deterministic semantic/boundary exploration plans before
-    /// random mutation; disabled in the extended ablation.
-    pub semantic_plans: bool,
     /// RNG seed for the trial.
     pub seed: u64,
     /// Named channel-impairment profile applied to the simulated medium
     /// for the whole campaign (Section IV's noisy-environment runs).
     pub impairment: ImpairmentProfile,
-    /// Which engine drives the campaign (zcover / vfuzz / coverage).
+    /// Which campaign configuration drives the fuzzer.
     pub mode: FuzzMode,
     /// Scripted adversary sharing the medium with the campaign
     /// ([`Scenario::None`] for plain fuzzing).
@@ -102,12 +113,6 @@ impl FuzzConfig {
     pub fn full(testing_duration: Duration, seed: u64) -> Self {
         FuzzConfig {
             testing_duration,
-            per_cmdcl_packets: 400,
-            extra_random_packets: 20,
-            use_unknown_cmdcls: true,
-            position_sensitive: true,
-            prioritize: true,
-            semantic_plans: true,
             seed,
             impairment: ImpairmentProfile::Clean,
             mode: FuzzMode::Zcover,
@@ -127,27 +132,24 @@ impl FuzzConfig {
         FuzzConfig { scenario, ..self }
     }
 
-    /// Extended ablation: no command-count prioritisation (queue scanned
-    /// ascending by CMDCL id).
+    /// Extended ablation [`FuzzMode::NoPriority`].
     pub fn without_prioritization(testing_duration: Duration, seed: u64) -> Self {
-        FuzzConfig { prioritize: false, ..FuzzConfig::full(testing_duration, seed) }
+        FuzzConfig { mode: FuzzMode::NoPriority, ..FuzzConfig::full(testing_duration, seed) }
     }
 
-    /// Extended ablation: no semantic/boundary exploration plans (random
-    /// position-sensitive mutation only).
+    /// Extended ablation [`FuzzMode::NoPlans`].
     pub fn without_semantic_plans(testing_duration: Duration, seed: u64) -> Self {
-        FuzzConfig { semantic_plans: false, ..FuzzConfig::full(testing_duration, seed) }
+        FuzzConfig { mode: FuzzMode::NoPlans, ..FuzzConfig::full(testing_duration, seed) }
     }
 
-    /// ZCover β: known (listed) CMDCLs only (Table VI test 2).
+    /// ZCover β ([`FuzzMode::Beta`], Table VI test 2).
     pub fn beta(testing_duration: Duration, seed: u64) -> Self {
-        FuzzConfig { use_unknown_cmdcls: false, ..FuzzConfig::full(testing_duration, seed) }
+        FuzzConfig { mode: FuzzMode::Beta, ..FuzzConfig::full(testing_duration, seed) }
     }
 
-    /// ZCover γ: random CMDCLs, no position-sensitive mutation (Table VI
-    /// test 3).
+    /// ZCover γ ([`FuzzMode::Gamma`], Table VI test 3).
     pub fn gamma(testing_duration: Duration, seed: u64) -> Self {
-        FuzzConfig { position_sensitive: false, ..FuzzConfig::full(testing_duration, seed) }
+        FuzzConfig { mode: FuzzMode::Gamma, ..FuzzConfig::full(testing_duration, seed) }
     }
 
     /// The coverage-guided mode: plan bootstrap plus corpus-biased
@@ -163,10 +165,10 @@ impl FuzzConfig {
         FuzzConfig { mode: FuzzMode::Vfuzz, ..FuzzConfig::full(testing_duration, seed) }
     }
 
-    /// Builds a configuration from its canonical name (the `--config`
-    /// vocabulary of the `zcover` CLI and the `config` field of recorded
-    /// traces): `full`, `beta`, `gamma`, `no-priority`, `no-plans`,
-    /// `coverage`, or `vfuzz`. Returns `None` for an unknown name.
+    /// Builds a configuration from its canonical name
+    /// ([`FuzzMode::config_name`]): `full`, `beta`, `gamma`,
+    /// `no-priority`, `no-plans`, `coverage`, or `vfuzz`. Returns `None`
+    /// for an unknown name.
     pub fn named(name: &str, testing_duration: Duration, seed: u64) -> Option<Self> {
         Some(match name {
             "full" => FuzzConfig::full(testing_duration, seed),
@@ -517,21 +519,34 @@ impl Fuzzer {
                     Self::send_and_observe(&mut state, Probe::Mac(&frame));
                 }
             }
-            FuzzMode::Zcover if self.config.position_sensitive => {
-                let mut queue: Vec<CommandClassId> = if self.config.use_unknown_cmdcls {
-                    discovery.prioritized_targets()
-                } else {
-                    // β: only the NIF-listed classes, by command count.
-                    let mut listed = discovery.listed.clone();
-                    let reg = Registry::global();
-                    listed.sort_by_key(|id| {
-                        (std::cmp::Reverse(reg.get(*id).map_or(0, |s| s.command_count())), id.0)
-                    });
-                    listed
-                };
-                if !self.config.prioritize {
-                    queue.sort_by_key(|id| id.0);
+            FuzzMode::Gamma => {
+                // γ: uniform random CMDCL/CMD/PARAM packets.
+                while clock.now() < state.deadline {
+                    let payload = state.mutator.random_payload();
+                    Self::send_and_observe(&mut state, Probe::Apl(&payload));
                 }
+            }
+            mode @ (FuzzMode::Zcover
+            | FuzzMode::Beta
+            | FuzzMode::NoPriority
+            | FuzzMode::NoPlans) => {
+                let queue: Vec<CommandClassId> = match mode {
+                    // β: only the NIF-listed classes, by command count.
+                    FuzzMode::Beta => {
+                        let mut listed = discovery.listed.clone();
+                        let reg = Registry::global();
+                        listed.sort_by_key(|id| {
+                            (std::cmp::Reverse(reg.get(*id).map_or(0, |s| s.command_count())), id.0)
+                        });
+                        listed
+                    }
+                    FuzzMode::NoPriority => {
+                        let mut queue = discovery.prioritized_targets();
+                        queue.sort_by_key(|id| id.0);
+                        queue
+                    }
+                    _ => discovery.prioritized_targets(),
+                };
                 // First pass: deterministic plans per class.
                 'outer: loop {
                     for &cc in &queue {
@@ -551,13 +566,6 @@ impl Fuzzer {
                         }
                         self.refuzz_random(&mut state, cc, 50);
                     }
-                }
-            }
-            FuzzMode::Zcover => {
-                // γ: uniform random CMDCL/CMD/PARAM packets.
-                while clock.now() < state.deadline {
-                    let payload = state.mutator.random_payload();
-                    Self::send_and_observe(&mut state, Probe::Apl(&payload));
                 }
             }
         }
@@ -681,17 +689,17 @@ impl Fuzzer {
     ) {
         let spec = Registry::global().get(cc);
         let window_start_packets = state.packets;
-        let budget = u64::from(self.config.per_cmdcl_packets);
+        let budget = PER_CMDCL_PACKETS;
         let clock = state.target.medium().clock().clone();
 
         let cmds = Self::command_candidates(spec);
 
         let plans_for = |state: &mut CampaignState<'_, T>, cmd: u8| -> Vec<Vec<u8>> {
-            if self.config.semantic_plans {
-                state.mutator.exploration_plans(cc, cmd)
-            } else {
+            if self.config.mode == FuzzMode::NoPlans {
                 // Extended ablation: only the Algorithm 1 seed shape.
                 vec![vec![0x00]]
+            } else {
+                state.mutator.exploration_plans(cc, cmd)
             }
         };
         'window: for cmd in cmds {
@@ -729,7 +737,7 @@ impl Fuzzer {
 
         // Window tail: free-form mutation across the class.
         let mut payload = state.mutator.seed_payload(cc, 0x00);
-        for _ in 0..self.config.extra_random_packets {
+        for _ in 0..EXTRA_RANDOM_PACKETS {
             if state.packets - window_start_packets >= budget || clock.now() >= state.deadline {
                 break;
             }
@@ -964,6 +972,19 @@ mod tests {
         // Discovery probes advance the clock; findings are timed from the
         // fuzzing start either way.
         (tb, dongle, scan, discovery)
+    }
+
+    #[test]
+    fn every_mode_round_trips_through_its_config_name() {
+        use FuzzMode::*;
+        let budget = Duration::from_secs(60);
+        for mode in [Zcover, Beta, Gamma, NoPriority, NoPlans, Vfuzz, Coverage] {
+            let config = FuzzConfig::named(mode.config_name(), budget, 3).expect("canonical name");
+            assert_eq!(config.mode, mode);
+            let positional = matches!(mode, Zcover | Beta | Gamma | NoPriority | NoPlans);
+            assert_eq!(mode.name() == "zcover", positional, "{mode:?}");
+        }
+        assert!(FuzzConfig::named("zcover", budget, 3).is_none());
     }
 
     #[test]

@@ -69,16 +69,15 @@ pub use mutation::{MutationOp, Mutator};
 pub use passive::{PassiveScanner, ScanReport, TrafficStats};
 pub use scenarios::{Scenario, ScenarioDriver, ATTACKER_KEY, GHOST_NODE};
 pub use sweep::{
-    run_sweep, ShardSummary, SweepConfig, SweepRecord, SweepSummary, SweepTiming,
-    DEFAULT_SHARD_SIZE,
+    run_sweep, ShardSummary, SweepConfig, SweepSummary, SweepTiming, DEFAULT_SHARD_SIZE,
 };
 pub use target::FuzzTarget;
 pub use trace::{
-    cross_trial_summary, describe_header, diff_traces, event_locus, record_campaign, replay,
-    Record, RecordedCampaign, ReplayReport, SchedKind, Trace, TraceError, TraceMeta, TraceRecorder,
-    TraceStats,
+    cross_trial_summary, describe_header, diff_traces, event_locus, record_campaign, record_on,
+    replay, Record, RecordedCampaign, ReplayReport, SchedKind, Trace, TraceError, TraceMeta,
+    TraceRecorder, TraceStats,
 };
-pub use trials::{run_trials, TrialSummary};
+pub use trials::TrialSummary;
 pub use zwave_radio::{ImpairmentProfile, ImpairmentSchedule, ImpairmentStage};
 
 /// Errors from the end-to-end ZCover pipeline.

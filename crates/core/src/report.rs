@@ -378,9 +378,9 @@ mod tests {
     #[test]
     fn summary_json_nests_per_trial_objects_and_merged_aggregate() {
         let config = FuzzConfig::full(Duration::from_secs(900), 0);
-        let summary =
-            crate::trials::run_trials(2, 7, |seed| Testbed::new(DeviceModel::D1, seed), &config)
-                .unwrap();
+        let summary = crate::CampaignExecutor::new(1)
+            .run(2, 7, |seed| Testbed::new(DeviceModel::D1, seed), &config)
+            .unwrap();
         let json = summary_to_json(&summary);
         assert_balanced_json(&json);
         assert_eq!(json.matches("\"virtual_duration_s\":").count(), 2, "one object per trial");

@@ -24,7 +24,7 @@
 //! real, everything in the summary is reproducible.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use zwave_controller::{CoverageMap, DeviceModel, HomeNetwork, Topology};
@@ -32,41 +32,13 @@ use zwave_radio::MediumStats;
 
 use crate::executor::{derive_trial_seed, CampaignExecutor};
 use crate::fuzzer::{CampaignCounters, FuzzConfig};
-use crate::trace::{TraceMeta, TraceRecorder};
-use crate::{ZCover, ZCoverError};
+use crate::trace::run_maybe_recorded;
+use crate::ZCoverError;
 
 /// Homes per shard when the caller does not choose: small enough that a
 /// four-worker pool stays busy on a 256-home sweep, large enough that the
 /// per-shard bookkeeping vanishes against the campaigns themselves.
 pub const DEFAULT_SHARD_SIZE: u64 = 64;
-
-/// Where a sweep records its per-home traces: `{dir}/home{N}.zct`, one
-/// compact binary trace per home, written by whichever worker runs the
-/// home's shard. A home's journal is a pure function of its derived seed,
-/// so the files are bit-identical for any worker count — the property
-/// `tests/trace_binary.rs` pins for workers 1/2/4. (Per-home recording
-/// only became feasible with the binary format: a 10 000-home sweep at
-/// JSONL sizes would write gigabytes of journal.)
-///
-/// These journals are analytics artifacts for `zcover trace export` and
-/// `zcover trace stats`. `zcover replay` re-executes the flat
-/// single-home testbed named by the header, so a multi-hop home's
-/// journal reports a divergence rather than re-running its mesh.
-#[derive(Debug, Clone)]
-pub struct SweepRecord {
-    /// Directory the per-home traces are written into (created on
-    /// demand).
-    pub dir: PathBuf,
-    /// Canonical configuration name recorded in each header.
-    pub config_name: String,
-}
-
-impl SweepRecord {
-    /// The trace file path for `home`.
-    pub fn home_path(&self, home: u64) -> PathBuf {
-        self.dir.join(format!("home{home}.zct"))
-    }
-}
 
 /// What to sweep: how many homes, their mesh shape, and the per-home
 /// campaign configuration.
@@ -82,16 +54,23 @@ pub struct SweepConfig {
     pub base: FuzzConfig,
     /// Homes per shard (clamped to at least 1).
     pub shard_size: u64,
-    /// Per-home trace recording, when requested (`zcover sweep
-    /// --record-dir`).
-    pub record: Option<SweepRecord>,
+    /// Directory per-home traces are recorded into (`zcover sweep
+    /// --record-dir`), when requested: one compact binary trace per home
+    /// at [`SweepConfig::home_trace_path`], written by whichever worker
+    /// runs the home's shard. A home's journal is a pure function of its
+    /// derived seed, so the files are bit-identical for any worker count.
+    /// They are analytics artifacts for `zcover trace export|stats`:
+    /// `zcover replay` re-executes the flat single-home testbed named by
+    /// the header, so a multi-hop home's journal reports a divergence
+    /// rather than re-running its mesh.
+    pub record_dir: Option<PathBuf>,
 }
 
 impl SweepConfig {
     /// A sweep of `homes` homes on `topology`, with the default shard
     /// size. The sweep seed is `base.seed`.
     pub fn new(homes: u64, topology: Topology, base: FuzzConfig) -> Self {
-        SweepConfig { homes, topology, base, shard_size: DEFAULT_SHARD_SIZE, record: None }
+        SweepConfig { homes, topology, base, shard_size: DEFAULT_SHARD_SIZE, record_dir: None }
     }
 
     /// Overrides the shard size.
@@ -100,10 +79,16 @@ impl SweepConfig {
         self
     }
 
-    /// Enables per-home trace recording into `record.dir`.
-    pub fn with_record(mut self, record: SweepRecord) -> Self {
-        self.record = Some(record);
+    /// Enables per-home trace recording into `dir` (created on demand).
+    pub fn with_record_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.record_dir = Some(dir.into());
         self
+    }
+
+    /// The trace file home `home` records to under `dir`:
+    /// `{dir}/home{N}.zct`.
+    pub fn home_trace_path(dir: &Path, home: u64) -> PathBuf {
+        dir.join(format!("home{home}.zct"))
     }
 
     /// Number of shards: `ceil(homes / shard_size)` — a pure function of
@@ -238,49 +223,27 @@ struct HomeRun {
 }
 
 /// Builds home `home` and runs its full campaign (fingerprint, scan,
-/// discovery, fuzzing) against a fresh attacker stack. With recording
-/// enabled, the home's journal goes to its own `.zct` file; the recorder
-/// is a pure observer, so the campaign (and every aggregate) is
-/// bit-identical with or without it.
+/// discovery, fuzzing) against a fresh attacker stack, recorded to the
+/// home's own `.zct` file when the sweep records.
 fn run_home(
     config: &SweepConfig,
     home: u64,
     kernel: Option<&zwave_radio::SimScheduler>,
 ) -> Result<HomeRun, ZCoverError> {
     let seed = config.home_seed(home);
+    let model = config.home_model(home);
     let mut net = match kernel {
         // Recycle the shard's wheel + event arena instead of building a
         // kernel per home; the simulation is bit-identical either way.
-        Some(kernel) => {
-            HomeNetwork::new_recycled(config.home_model(home), config.topology, seed, kernel)
-        }
-        None => HomeNetwork::new(config.home_model(home), config.topology, seed),
+        Some(kernel) => HomeNetwork::new_recycled(model, config.topology, seed, kernel),
+        None => HomeNetwork::new(model, config.topology, seed),
     };
     let fuzz = FuzzConfig { seed, ..config.base.clone() };
-    let recorder = config.record.as_ref().map(|spec| {
-        let meta = TraceMeta {
-            device: config.home_model(home).idx().to_string(),
-            seed,
-            config: spec.config_name.clone(),
-            impairment: fuzz.impairment,
-            budget: fuzz.testing_duration,
-            scenario: fuzz.scenario,
-        };
-        TraceRecorder::attach(net.medium(), meta)
-    });
-    let mut zcover = ZCover::attach(&net, 70.0);
-    let campaign = match recorder {
-        None => zcover.run_campaign(&mut net, fuzz)?.campaign,
-        Some(mut recorder) => {
-            let campaign = zcover.run_campaign_with_sink(&mut net, fuzz, &mut recorder)?.campaign;
-            let spec = config.record.as_ref().expect("recorder implies spec");
-            recorder
-                .finish(&campaign)
-                .save(&spec.home_path(home))
-                .map_err(|e| ZCoverError::TraceIo(e.to_string()))?;
-            campaign
-        }
-    };
+    let record = config
+        .record_dir
+        .as_deref()
+        .map(|dir| (model.idx(), SweepConfig::home_trace_path(dir, home)));
+    let campaign = run_maybe_recorded(&mut net, fuzz, record)?;
     Ok(HomeRun {
         bug_ids: campaign.findings.iter().map(|f| f.bug_id).collect(),
         counters: campaign.counters,

@@ -3,9 +3,8 @@
 //! ZCover reaches the device only through the radio — the same black-box
 //! constraint the paper faces. The extra methods on [`FuzzTarget`] model
 //! the parts of the experiment that are *not* the fuzzer: the simulation
-//! scheduler ([`FuzzTarget::pump`]), the authors' manual verification of
-//! each finding ([`FuzzTarget::take_faults`]), and the between-trial
-//! factory reset.
+//! scheduler ([`FuzzTarget::pump`]) and the authors' manual verification
+//! of each finding ([`FuzzTarget::take_faults`]).
 
 use zwave_controller::{FaultRecord, HomeNetwork, NodeRecord, LOCK_NODE};
 use zwave_protocol::nif::BasicDeviceType;
@@ -34,9 +33,6 @@ pub trait FuzzTarget {
     /// stands in for the paper's manual crash verification and PoC
     /// confirmation (Section IV-A).
     fn take_faults(&mut self) -> Vec<FaultRecord>;
-
-    /// Restores the device to factory state (between trials).
-    fn restore(&mut self);
 
     /// Causes one round of benign network traffic for passive scanning.
     fn generate_normal_traffic(&mut self);
@@ -77,10 +73,6 @@ impl FuzzTarget for HomeNetwork {
 
     fn take_faults(&mut self) -> Vec<FaultRecord> {
         self.controller_mut().take_new_faults()
-    }
-
-    fn restore(&mut self) {
-        self.controller_mut().restore_factory();
     }
 
     fn generate_normal_traffic(&mut self) {

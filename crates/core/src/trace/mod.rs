@@ -39,7 +39,7 @@ pub mod binary;
 pub mod lines;
 pub mod stats;
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,6 +54,7 @@ pub use trace_format::{Record, SchedKind};
 use crate::buglog::VulnFinding;
 use crate::fuzzer::{CampaignResult, FuzzConfig, TraceSink};
 use crate::scenarios::Scenario;
+use crate::target::FuzzTarget;
 use crate::{ZCover, ZCoverError, ZCoverReport};
 
 pub use stats::{cross_trial_summary, CmdclStats, TraceStats};
@@ -112,6 +113,20 @@ pub struct TraceMeta {
 }
 
 impl TraceMeta {
+    /// The header of a trial of `config` on device `device` (`D1`..`D7`):
+    /// the configuration is recorded by its canonical name, so
+    /// [`FuzzConfig::named`] rebuilds it on replay.
+    pub fn new(device: &str, config: &FuzzConfig) -> TraceMeta {
+        TraceMeta {
+            device: device.to_string(),
+            seed: config.seed,
+            config: config.mode.config_name().to_string(),
+            impairment: config.impairment,
+            budget: config.testing_duration,
+            scenario: config.scenario,
+        }
+    }
+
     /// Serializes the header line. The `scenario` field is emitted only
     /// when one is set, so traces of plain campaigns — including every
     /// golden recorded before scenarios existed — keep their exact bytes.
@@ -194,9 +209,7 @@ impl TraceMeta {
 
     /// The device model named in the header.
     fn model(&self) -> Result<DeviceModel, TraceError> {
-        DeviceModel::all()
-            .into_iter()
-            .find(|m| m.idx().eq_ignore_ascii_case(&self.device))
+        DeviceModel::parse(&self.device)
             .ok_or_else(|| TraceError::UnknownMeta(format!("device {}", self.device)))
     }
 
@@ -482,10 +495,30 @@ pub struct RecordedCampaign {
     pub report: ZCoverReport,
 }
 
-/// Runs the full three-phase pipeline on a fresh testbed with a recorder
-/// attached. This is the single code path used by `zcover fuzz --record`
-/// *and* by [`replay`], so a recorded trace and its replay journal the
-/// exact same execution.
+/// Runs the full three-phase pipeline on `target` with a recorder
+/// attached, the header naming `device` (`D1`..`D7`). This is the only
+/// place a [`TraceRecorder`] is attached: `zcover fuzz --record`,
+/// per-trial and per-home recording, and [`replay`] all journal through
+/// it, so a recorded trace and its replay journal the exact same
+/// execution.
+///
+/// # Errors
+///
+/// Propagates pipeline [`ZCoverError`]s.
+pub fn record_on<T: FuzzTarget>(
+    target: &mut T,
+    device: &str,
+    config: FuzzConfig,
+) -> Result<RecordedCampaign, ZCoverError> {
+    let mut recorder = TraceRecorder::attach(target.medium(), TraceMeta::new(device, &config));
+    let mut zcover = ZCover::attach(target, 70.0);
+    let report = zcover.run_campaign_with_sink(target, config, &mut recorder)?;
+    let trace = recorder.finish(&report.campaign);
+    Ok(RecordedCampaign { trace, report })
+}
+
+/// [`record_on`] a fresh flat testbed of `model`. `config_name` must be
+/// `config.mode.config_name()`, the name the header records.
 ///
 /// # Errors
 ///
@@ -495,20 +528,30 @@ pub fn record_campaign(
     config_name: &str,
     config: FuzzConfig,
 ) -> Result<RecordedCampaign, ZCoverError> {
-    let meta = TraceMeta {
-        device: model.idx().to_string(),
-        seed: config.seed,
-        config: config_name.to_string(),
-        impairment: config.impairment,
-        budget: config.testing_duration,
-        scenario: config.scenario,
+    debug_assert_eq!(config_name, config.mode.config_name());
+    record_on(&mut Testbed::new(model, config.seed), model.idx(), config)
+}
+
+/// Runs one campaign on `target`. With `record` set to `(device, path)`
+/// it is recorded through [`record_on`] and the trace saved to `path`;
+/// the recorder is a pure observer, so the campaign is bit-identical
+/// either way. The multi-trial executor and the sweep share this path.
+///
+/// # Errors
+///
+/// Pipeline [`ZCoverError`]s, plus [`ZCoverError::TraceIo`] when the
+/// trace file cannot be written.
+pub(crate) fn run_maybe_recorded<T: FuzzTarget>(
+    target: &mut T,
+    config: FuzzConfig,
+    record: Option<(&str, PathBuf)>,
+) -> Result<CampaignResult, ZCoverError> {
+    let Some((device, path)) = record else {
+        return Ok(ZCover::attach(target, 70.0).run_campaign(target, config)?.campaign);
     };
-    let mut testbed = Testbed::new(model, config.seed);
-    let mut recorder = TraceRecorder::attach(crate::FuzzTarget::medium(&testbed), meta);
-    let mut zcover = ZCover::attach(&testbed, 70.0);
-    let report = zcover.run_campaign_with_sink(&mut testbed, config, &mut recorder)?;
-    let trace = recorder.finish(&report.campaign);
-    Ok(RecordedCampaign { trace, report })
+    let recorded = record_on(target, device, config)?;
+    recorded.trace.save(&path).map_err(|e| ZCoverError::TraceIo(e.to_string()))?;
+    Ok(recorded.report.campaign)
 }
 
 // ───────────────────────── replay & diffing ─────────────────────────

@@ -2,19 +2,15 @@
 //!
 //! "Following recommended fuzzing practices, we conducted five 24-hour
 //! fuzzing trials for each controller" (Section IV). This module defines
-//! the merged [`TrialSummary`] over N independently-seeded campaigns and
-//! the sequential [`run_trials`] entry point; the scheduling itself —
-//! sequential or across a worker pool — lives in
+//! the merged [`TrialSummary`] over N independently-seeded campaigns; the
+//! scheduling itself — one worker or a pool — lives in
 //! [`crate::executor::CampaignExecutor`].
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::buglog::{BugLog, VulnFinding};
-use crate::executor::CampaignExecutor;
-use crate::fuzzer::{CampaignCounters, CampaignResult, FuzzConfig};
-use crate::target::FuzzTarget;
-use crate::ZCoverError;
+use crate::fuzzer::{CampaignCounters, CampaignResult};
 
 /// Aggregate of several independent trials on the same device model.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,40 +99,23 @@ impl TrialSummary {
     }
 }
 
-/// Runs `trials` independent campaigns sequentially (the one-worker
-/// [`CampaignExecutor`]). `make_target` builds a fresh target for a given
-/// seed (fresh network, fresh keys — the paper powers devices back to
-/// factory state between trials); the fuzz configuration is `base_config`
-/// with the per-trial seed substituted. Trial seeds derive from
-/// `campaign_seed` via [`crate::executor::derive_trial_seed`].
-///
-/// # Errors
-///
-/// Propagates the [`ZCoverError`] of the lowest-indexed trial whose
-/// fingerprinting phase failed.
-pub fn run_trials<T, F>(
-    trials: u64,
-    campaign_seed: u64,
-    make_target: F,
-    base_config: &FuzzConfig,
-) -> Result<TrialSummary, ZCoverError>
-where
-    T: FuzzTarget,
-    F: Fn(u64) -> T + Sync,
-{
-    CampaignExecutor::sequential().run(trials, campaign_seed, make_target, base_config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::CampaignExecutor;
+    use crate::fuzzer::FuzzConfig;
     use zwave_controller::testbed::{DeviceModel, Testbed};
+
+    fn d1_trials(trials: u64, campaign_seed: u64, config: &FuzzConfig) -> TrialSummary {
+        CampaignExecutor::new(1)
+            .run(trials, campaign_seed, |seed| Testbed::new(DeviceModel::D1, seed), config)
+            .unwrap()
+    }
 
     #[test]
     fn three_trials_agree_on_the_stable_core() {
         let config = FuzzConfig::full(Duration::from_secs(3600), 0);
-        let summary =
-            run_trials(3, 100, |seed| Testbed::new(DeviceModel::D1, seed), &config).unwrap();
+        let summary = d1_trials(3, 100, &config);
         assert_eq!(summary.trials(), 3);
         assert_eq!(summary.union_bug_ids, (1..=15).collect::<Vec<u8>>());
         // The deterministic exploration plans make every bug a stable find.
@@ -159,8 +138,7 @@ mod tests {
     #[test]
     fn time_to_find_is_ordered_by_queue_priority() {
         let config = FuzzConfig::full(Duration::from_secs(3600), 0);
-        let summary =
-            run_trials(2, 7, |seed| Testbed::new(DeviceModel::D1, seed), &config).unwrap();
+        let summary = d1_trials(2, 7, &config);
         // Proprietary-class bugs (CMDCL 0x01 fuzzed first) are found
         // before the late listed-class ones.
         let early = summary.mean_time_to_find(2).expect("bug 2 found");

@@ -213,3 +213,22 @@ fn fuzz_bug_log_carries_the_packets_each_finding_took() {
     assert_eq!(logged, reported, "--log packets column disagrees with the JSON findings");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn unparsable_numeric_flags_exit_2_naming_flag_and_value() {
+    // A typo must not silently run a default-sized campaign.
+    for (args, flag, value) in [
+        (&["fuzz", "--device", "D1", "--hours", "abc"][..], "--hours", "abc"),
+        (&["fuzz", "--device", "D1", "--hours", "0.001", "--seed", "xyz"][..], "--seed", "xyz"),
+        (&["trials", "--hours", "0.001", "--trials", "two"][..], "--trials", "two"),
+        (&["sweep", "--homes", "1", "--hours", "0.001", "--workers", "-3"][..], "--workers", "-3"),
+        (&["sweep", "--homes", "8x"][..], "--homes", "8x"),
+        (&["sweep", "--homes", "1", "--shard-size", "1.5"][..], "--shard-size", "1.5"),
+    ] {
+        let out = zcover(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} did not exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag) && stderr.contains(value), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}

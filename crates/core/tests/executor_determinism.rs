@@ -1,10 +1,9 @@
 //! Regression tests for the campaign executor's core contract: the merged
-//! [`TrialSummary`] is bit-identical whatever the worker count, and equal
-//! to the sequential `run_trials` path.
+//! [`TrialSummary`] is bit-identical whatever the worker count.
 
 use std::time::Duration;
 
-use zcover::{run_trials, CampaignExecutor, FuzzConfig};
+use zcover::{CampaignExecutor, FuzzConfig};
 use zwave_controller::testbed::{DeviceModel, Testbed};
 
 const CAMPAIGN_SEED: u64 = 2025;
@@ -30,17 +29,6 @@ fn parallel_summaries_are_bit_identical_across_worker_counts() {
         // the aggregate counters.
         assert_eq!(sequential, parallel, "{workers}-worker summary diverged");
     }
-}
-
-#[test]
-fn run_trials_is_the_one_worker_executor() {
-    let summary =
-        run_trials(3, CAMPAIGN_SEED, |seed| Testbed::new(DeviceModel::D1, seed), &config())
-            .expect("run_trials");
-    let executor = CampaignExecutor::sequential()
-        .run(3, CAMPAIGN_SEED, |seed| Testbed::new(DeviceModel::D1, seed), &config())
-        .expect("executor");
-    assert_eq!(summary, executor);
 }
 
 #[test]

@@ -53,6 +53,11 @@ impl DeviceModel {
         self.config_parts().0
     }
 
+    /// The model whose index string is `idx` (ASCII case-insensitive).
+    pub fn parse(idx: &str) -> Option<DeviceModel> {
+        DeviceModel::all().into_iter().find(|m| m.idx().eq_ignore_ascii_case(idx))
+    }
+
     fn config_parts(
         self,
     ) -> (&'static str, &'static str, &'static str, u16, u32, bool, bool, bool, Vec<MacQuirk>) {
@@ -203,6 +208,15 @@ mod tests {
         for (model, home) in expected {
             assert_eq!(model.config().home_id, HomeId(home), "{model:?}");
         }
+    }
+
+    #[test]
+    fn parse_inverts_idx_case_insensitively() {
+        for model in DeviceModel::all() {
+            assert_eq!(DeviceModel::parse(model.idx()), Some(model));
+            assert_eq!(DeviceModel::parse(&model.idx().to_lowercase()), Some(model));
+        }
+        assert_eq!(DeviceModel::parse("D8"), None);
     }
 
     #[test]

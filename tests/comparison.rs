@@ -132,3 +132,29 @@ fn vfuzz_generated_coverage_is_indiscriminate() {
 fn one_hour_of_vfuzz_is_mostly_fruitless() {
     assert!(vfuzz_hours(DeviceModel::D1, 1, 3).unique_vulns() <= 1);
 }
+
+#[test]
+fn no_priority_ablation_is_pinned_on_d1() {
+    // The extended ablation that scans the queue ascending by CMDCL id.
+    let result = campaign(
+        DeviceModel::D1,
+        5,
+        FuzzConfig::without_prioritization(Duration::from_secs(900), 5),
+    );
+    let ids: BTreeSet<u8> = result.findings.iter().map(|f| f.bug_id).collect();
+    assert_eq!(result.packets_sent, 1822);
+    assert_eq!(ids, BTreeSet::from([1, 2, 3, 4, 5, 12, 14]));
+}
+
+#[test]
+fn no_plans_ablation_is_pinned_on_d1() {
+    // The extended ablation that skips the semantic/boundary plans.
+    let result = campaign(
+        DeviceModel::D1,
+        5,
+        FuzzConfig::without_semantic_plans(Duration::from_secs(900), 5),
+    );
+    let ids: BTreeSet<u8> = result.findings.iter().map(|f| f.bug_id).collect();
+    assert_eq!(result.packets_sent, 505);
+    assert_eq!(ids, BTreeSet::from([5, 6, 9, 14, 15]));
+}

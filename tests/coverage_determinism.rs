@@ -87,7 +87,7 @@ fn zcover_mode_results_are_unchanged_by_the_instrumentation() {
     // must report the same verdicts and packet counts as before, with an
     // empty corpus and zero retention.
     let config = FuzzConfig::full(Duration::from_secs(1800), 0);
-    let summary = CampaignExecutor::sequential()
+    let summary = CampaignExecutor::new(1)
         .run(2, 0xC0FFEE, |seed| Testbed::new(DeviceModel::D1, seed), &config)
         .expect("fingerprinting succeeds");
     for result in &summary.per_trial {

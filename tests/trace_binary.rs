@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 
 use zcover_suite::trace_format::ZctTrace;
-use zcover_suite::zcover::{replay, CampaignExecutor, FuzzConfig, SweepConfig, SweepRecord, Trace};
+use zcover_suite::zcover::{replay, CampaignExecutor, FuzzConfig, SweepConfig, Trace};
 use zcover_suite::zwave_controller::Topology;
 
 fn golden_dir() -> PathBuf {
@@ -92,13 +92,13 @@ fn sweep_per_home_traces_are_worker_count_invariant() {
     let record = |workers: usize, tag: &str| -> Vec<Vec<u8>> {
         let dir = tmp.join(tag);
         let base = FuzzConfig::full(std::time::Duration::from_secs(20), 9);
-        let record = SweepRecord { dir: dir.clone(), config_name: "full".to_string() };
-        let config = SweepConfig::new(homes, Topology::Mesh, base)
-            .with_shard_size(2)
-            .with_record(record.clone());
+        let config =
+            SweepConfig::new(homes, Topology::Mesh, base).with_shard_size(2).with_record_dir(&dir);
         zcover_suite::zcover::run_sweep(&CampaignExecutor::new(workers), &config)
             .expect("sweep runs");
-        (0..homes).map(|h| std::fs::read(record.home_path(h)).expect("trace written")).collect()
+        (0..homes)
+            .map(|h| std::fs::read(SweepConfig::home_trace_path(&dir, h)).expect("trace written"))
+            .collect()
     };
     let one = record(1, "w1");
     let two = record(2, "w2");

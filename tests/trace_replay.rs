@@ -145,16 +145,16 @@ fn mid_stream_divergence_carries_context_lines() {
 fn executor_recorded_trials_are_worker_count_independent() {
     // Each worker records its claimed trials into per-trial files; the
     // files must be byte-identical whether one worker or four ran them —
-    // for the APL-injecting engine and the raw MAC-injecting one alike.
+    // for every canonical configuration, APL-injecting and raw
+    // MAC-injecting alike — and each must replay from its header.
     let tmp = std::env::temp_dir().join(format!("zcover_trace_wc_{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("temp dir");
-    for config_name in ["full", "vfuzz"] {
+    for config_name in ["full", "beta", "gamma", "no-priority", "no-plans", "coverage", "vfuzz"] {
         let config = FuzzConfig::named(config_name, std::time::Duration::from_secs(30), 5)
             .expect("known configuration name");
         let record = |workers: usize, tag: &str| -> Vec<String> {
             let spec = TraceSpec {
                 device: "D1".to_string(),
-                config_name: config_name.to_string(),
                 prefix: tmp.join(format!("{config_name}_{tag}")),
             };
             let model = zcover_suite::zwave_controller::testbed::DeviceModel::D1;
