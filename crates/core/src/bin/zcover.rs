@@ -26,7 +26,8 @@ use std::time::Duration;
 
 use zcover::{
     run_sweep, ActiveScanner, BugLog, CampaignExecutor, FuzzConfig, ImpairmentProfile, Scenario,
-    SweepConfig, Trace, TraceSpec, TraceStats, UnknownDiscovery, ZCover, DEFAULT_SHARD_SIZE,
+    SweepConfig, Trace, TraceSpec, TraceStats, UnknownDiscovery, ZCover, ZCoverError,
+    DEFAULT_SHARD_SIZE,
 };
 use zwave_controller::testbed::{DeviceModel, Testbed};
 use zwave_controller::Topology;
@@ -386,7 +387,17 @@ fn main() {
                 config.shard_count(),
                 executor.workers()
             );
-            let (summary, timing) = run_sweep(&executor, &config).expect("sweep failed");
+            let (summary, timing) = match run_sweep(&executor, &config) {
+                Ok(done) => done,
+                Err(ZCoverError::SweepHome { home, source }) => {
+                    eprintln!("sweep failed at home {home}: {source}");
+                    std::process::exit(1);
+                }
+                Err(e) => {
+                    eprintln!("sweep failed: {e}");
+                    std::process::exit(1);
+                }
+            };
             if let Some(dir) = &config.record_dir {
                 eprintln!(
                     "per-home traces recorded to {} .. {}",

@@ -90,6 +90,13 @@ pub enum ZCoverError {
     NoNifResponse,
     /// A trace file could not be written while recording a trial.
     TraceIo(String),
+    /// Home `home` of a sweep failed with `source`.
+    SweepHome {
+        /// Index of the failing home.
+        home: u64,
+        /// What went wrong in that home's campaign.
+        source: Box<ZCoverError>,
+    },
 }
 
 impl std::fmt::Display for ZCoverError {
@@ -98,6 +105,7 @@ impl std::fmt::Display for ZCoverError {
             ZCoverError::NoTraffic => f.write_str("passive scanning observed no z-wave traffic"),
             ZCoverError::NoNifResponse => f.write_str("controller did not answer the NIF request"),
             ZCoverError::TraceIo(e) => write!(f, "trace recording failed: {e}"),
+            ZCoverError::SweepHome { home, source } => write!(f, "home {home}: {source}"),
         }
     }
 }

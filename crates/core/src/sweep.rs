@@ -212,24 +212,23 @@ impl SweepTiming {
     }
 }
 
-/// One home's campaign distilled to what the shard merge needs, plus the
-/// scheduler kernel handed back for the next home to recycle.
+/// One home's campaign distilled to what the shard merge needs.
 struct HomeRun {
     bug_ids: Vec<u8>,
     counters: CampaignCounters,
     channel: MediumStats,
     coverage: CoverageMap,
-    kernel: zwave_radio::SimScheduler,
 }
 
 /// Builds home `home` and runs its full campaign (fingerprint, scan,
 /// discovery, fuzzing) against a fresh attacker stack, recorded to the
-/// home's own `.zct` file when the sweep records.
+/// home's own `.zct` file when the sweep records. The finished home comes
+/// back too: its scheduler kernel is the next home's to recycle.
 fn run_home(
     config: &SweepConfig,
     home: u64,
     kernel: Option<&zwave_radio::SimScheduler>,
-) -> Result<HomeRun, ZCoverError> {
+) -> Result<(HomeRun, HomeNetwork), ZCoverError> {
     let seed = config.home_seed(home);
     let model = config.home_model(home);
     let mut net = match kernel {
@@ -244,13 +243,13 @@ fn run_home(
         .as_deref()
         .map(|dir| (model.idx(), SweepConfig::home_trace_path(dir, home)));
     let campaign = run_maybe_recorded(&mut net, fuzz, record)?;
-    Ok(HomeRun {
+    let run = HomeRun {
         bug_ids: campaign.findings.iter().map(|f| f.bug_id).collect(),
         counters: campaign.counters,
         channel: net.medium().stats(),
         coverage: net.coverage(),
-        kernel: net.medium().scheduler().clone(),
-    })
+    };
+    Ok((run, net))
 }
 
 /// Runs one shard's homes sequentially in home-index order. An error
@@ -265,8 +264,8 @@ fn run_shard(config: &SweepConfig, shard: u64) -> Result<(ShardSummary, f64), (u
     // later home recycles it (reset, not reallocated).
     let mut kernel: Option<zwave_radio::SimScheduler> = None;
     for home in first_home..end {
-        let run = run_home(config, home, kernel.as_ref()).map_err(|e| (home, e))?;
-        kernel = Some(run.kernel);
+        let (run, net) = run_home(config, home, kernel.as_ref()).map_err(|e| (home, e))?;
+        kernel = Some(net.medium().scheduler().clone());
         let mut seen = run.bug_ids;
         seen.sort_unstable();
         seen.dedup();
@@ -287,8 +286,8 @@ fn run_shard(config: &SweepConfig, shard: u64) -> Result<(ShardSummary, f64), (u
 ///
 /// # Errors
 ///
-/// When a home's fingerprinting phase fails, returns the error of the
-/// lowest-indexed failing home (independent of scheduling).
+/// When a home's campaign fails, returns [`ZCoverError::SweepHome`] for
+/// the lowest-indexed failing home (independent of scheduling).
 pub fn run_sweep(
     executor: &CampaignExecutor,
     config: &SweepConfig,
@@ -312,8 +311,8 @@ pub fn run_sweep(
             }
         }
     }
-    if let Some((_, error)) = failure {
-        return Err(error);
+    if let Some((home, error)) = failure {
+        return Err(ZCoverError::SweepHome { home, source: Box::new(error) });
     }
 
     let mut counters = CampaignCounters::default();
@@ -354,6 +353,7 @@ pub fn run_sweep(
 mod tests {
     use super::*;
     use std::time::Duration;
+    use zwave_radio::ImpairmentProfile;
 
     fn tiny(homes: u64, topology: Topology) -> SweepConfig {
         SweepConfig::new(homes, topology, FuzzConfig::full(Duration::from_secs(30), 11))
@@ -381,6 +381,30 @@ mod tests {
         assert_eq!(one.shards.iter().map(|s| s.homes).sum::<u64>(), 5);
         assert!(one.counters.packets_sent > 0);
         assert!(one.coverage_edges > 0);
+    }
+
+    #[test]
+    fn clean_mesh_sweep_homes_never_hit_the_pump_cap() {
+        let config =
+            SweepConfig::new(64, Topology::Mesh, FuzzConfig::full(Duration::from_secs(180), 42));
+        for home in 0..config.homes {
+            let (_, net) = run_home(&config, home, None).unwrap();
+            assert_eq!(net.pump_cap_hits(), 0, "home {home}");
+        }
+    }
+
+    #[test]
+    fn a_failing_home_is_named_in_the_sweep_error() {
+        // Star home 66 (D4) gets no NIF reply under the lossy profile; the
+        // 66 homes before it pass.
+        let base = FuzzConfig::full(Duration::from_secs(180), 42)
+            .with_impairment(ImpairmentProfile::Lossy);
+        let config = SweepConfig::new(67, Topology::Star, base);
+        let err = run_sweep(&CampaignExecutor::new(2), &config).unwrap_err();
+        assert_eq!(
+            err,
+            ZCoverError::SweepHome { home: 66, source: Box::new(ZCoverError::NoNifResponse) }
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end CLI tests for the trace subcommands: `zcover replay` must
 //! fail malformed input with exit code 2 and a byte-offset locus (plus
 //! whatever the CRC-protected header still says), never a panic; `zcover
-//! trace export` must convert between the formats losslessly.
+//! trace export` must convert between the formats losslessly. Bad flags
+//! and failed sweeps must exit with a message, never a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -231,4 +232,29 @@ fn unparsable_numeric_flags_exit_2_naming_flag_and_value() {
         assert!(stderr.contains(flag) && stderr.contains(value), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
+}
+
+#[test]
+fn a_failing_sweep_home_exits_1_naming_the_home() {
+    // Star home 66 (D4) gets no NIF reply under the lossy profile: the
+    // sweep must say which home failed and exit 1, not panic.
+    let out = zcover(&[
+        "sweep",
+        "--homes",
+        "67",
+        "--topology",
+        "star",
+        "--impairment",
+        "lossy",
+        "--seed",
+        "42",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("sweep failed at home 66: controller did not answer the NIF request"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a failed sweep printed a report");
 }

@@ -514,10 +514,18 @@ impl SimController {
     /// Processes every frame waiting on the radio, then services the
     /// retransmission timer for any still-unacked transmission.
     pub fn poll(&mut self) {
-        while let Some(rx) = self.radio.try_recv() {
-            self.handle_raw(&rx.bytes);
+        while let Some(rx) = self.radio.recv_where(|raw| self.accepts(raw)) {
+            self.receive(&rx.bytes);
         }
         self.service_retransmission();
+    }
+
+    /// The transceiver's hardware home-id filter: whether `raw` belongs
+    /// to this network at all. [`SimController::poll`] drops every other
+    /// frame at the receive ring, before it costs a decode;
+    /// [`SimController::receive`] applies the same filter first.
+    pub fn accepts(&self, raw: &[u8]) -> bool {
+        MacFrame::peek_home_id(raw) == Some(self.config.home_id)
     }
 
     /// Retransmits the pending frame when its ack wait has expired, or
@@ -567,17 +575,19 @@ impl SimController {
         false
     }
 
-    fn handle_raw(&mut self, raw: &FrameBuf) {
+    /// Processes one frame as if it had just arrived, with no receive
+    /// filter: what [`SimController::poll`] does for each frame
+    /// [`SimController::accepts`] passes.
+    pub fn receive(&mut self, raw: &FrameBuf) {
         // 1. Hardware home-id filter.
-        if raw.len() < 4 || raw[..4] != self.config.home_id.to_bytes() {
+        if !self.accepts(raw) {
             return;
         }
         self.stats.frames_seen += 1;
 
         // 2. Pre-parse MAC quirks: firmware touches the length field before
         //    validating the checksum, so these fire on malformed frames.
-        let quirks = self.config.mac_quirks.clone();
-        if let Some(quirk) = vulns::check_mac_quirks(&quirks, raw) {
+        if let Some(quirk) = vulns::check_mac_quirks(&self.config.mac_quirks, raw) {
             let until = self.now().plus(vulns::MAC_QUIRK_OUTAGE);
             self.health = Health::BusyUntil(until);
             // Wakeup hint so an event-driven driver re-polls at recovery.
@@ -645,7 +655,7 @@ impl SimController {
                 frame.src(),
                 frame.frame_control().sequence,
             );
-            self.radio.transmit(&ack.encode());
+            self.radio.transmit_buf(&FrameBuf::from(ack.encode()));
             self.stats.acks_sent += 1;
         }
         // Duplicate suppression comes *after* the MAC ack: a retransmitted

@@ -5,7 +5,7 @@ use std::time::Duration;
 use zwave_crypto::s2::S2Session;
 use zwave_protocol::apl::ApplicationPayload;
 use zwave_protocol::{CommandClassId, HomeId, MacFrame, NodeId};
-use zwave_radio::{Medium, Transceiver};
+use zwave_radio::{FrameBuf, Medium, Transceiver};
 
 use crate::coverage::{state as cov, CoverageMap};
 
@@ -108,35 +108,51 @@ impl SimDoorLock {
     /// operations and ignores everything unencrypted (a properly
     /// implemented S2 slave).
     pub fn poll(&mut self) {
-        while let Some(rx) = self.radio.try_recv() {
-            let Ok(frame) = MacFrame::decode(&rx.bytes) else { continue };
-            if frame.home_id() != self.home_id || frame.dst() != self.node_id {
-                continue;
-            }
-            if frame.frame_control().ack_requested && !frame.is_ack() {
-                let ack = MacFrame::ack(
-                    self.home_id,
-                    self.node_id,
-                    frame.src(),
-                    frame.frame_control().sequence,
-                );
-                self.radio.transmit(&ack.encode());
-            }
-            let Ok(payload) = ApplicationPayload::parse(frame.payload()) else { continue };
-            if payload.command_class() != CommandClassId::SECURITY_2
-                || payload.command() != Some(0x03)
-            {
-                continue; // unencrypted application traffic is refused
-            }
-            let bytes = payload.encode();
-            let Ok(inner) =
-                self.session.decapsulate(self.home_id.0, frame.src().0, self.node_id.0, &bytes)
-            else {
-                continue;
-            };
-            let Ok(inner_payload) = ApplicationPayload::parse(&inner) else { continue };
-            self.handle_secure(frame.src(), &inner_payload);
+        while let Some(rx) = self.radio.recv_where(|raw| self.accepts(raw)) {
+            self.receive(&rx.bytes);
         }
+    }
+
+    /// Processes one frame as if it had just arrived, with no receive
+    /// filter: what [`SimDoorLock::poll`] does for each frame
+    /// [`SimDoorLock::accepts`] passes.
+    pub fn receive(&mut self, raw: &[u8]) {
+        let Ok(frame) = MacFrame::decode(raw) else { return };
+        if frame.home_id() != self.home_id || frame.dst() != self.node_id {
+            return;
+        }
+        if frame.frame_control().ack_requested && !frame.is_ack() {
+            let ack = MacFrame::ack(
+                self.home_id,
+                self.node_id,
+                frame.src(),
+                frame.frame_control().sequence,
+            );
+            self.radio.transmit_buf(&FrameBuf::from(ack.encode()));
+        }
+        let Ok(payload) = ApplicationPayload::parse(frame.payload()) else { return };
+        if payload.command_class() != CommandClassId::SECURITY_2 || payload.command() != Some(0x03)
+        {
+            return; // unencrypted application traffic is refused
+        }
+        let bytes = payload.encode();
+        let Ok(inner) =
+            self.session.decapsulate(self.home_id.0, frame.src().0, self.node_id.0, &bytes)
+        else {
+            return;
+        };
+        let Ok(inner_payload) = ApplicationPayload::parse(&inner) else { return };
+        self.handle_secure(frame.src(), &inner_payload);
+    }
+
+    /// Whether [`SimDoorLock::poll`] could act on `raw`: a frame of this
+    /// home addressed to the lock, other than a bare MAC ack (which it
+    /// neither acks nor parses). An Ack-type frame that carries a payload
+    /// still passes, since the lock decapsulates S2 from any frame type.
+    pub fn accepts(&self, raw: &[u8]) -> bool {
+        MacFrame::peek(raw).is_some_and(|peek| {
+            peek.home_id == self.home_id && peek.dst == self.node_id && !peek.is_empty_ack()
+        })
     }
 
     fn handle_secure(&mut self, src: NodeId, payload: &ApplicationPayload) {

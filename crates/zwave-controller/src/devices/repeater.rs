@@ -5,7 +5,7 @@
 //! advances the hop index and retransmits, in both the outbound and the
 //! routed-acknowledgement direction.
 
-use zwave_protocol::{HomeId, MacFrame, NodeId, RoutingHeader};
+use zwave_protocol::{HeaderType, HomeId, MacFrame, NodeId, RoutingHeader};
 use zwave_radio::{Medium, Transceiver};
 
 /// Simulated always-listening repeater node.
@@ -48,39 +48,54 @@ impl SimRepeater {
         self.radio.pending() > 0
     }
 
+    /// Whether [`SimRepeater::poll`] could act on `raw`: a routed frame of
+    /// this home.
+    pub fn accepts(&self, raw: &[u8]) -> bool {
+        MacFrame::peek(raw).is_some_and(|peek| {
+            peek.home_id == self.home_id && peek.header_type == Some(HeaderType::Routed)
+        })
+    }
+
     /// Relays every pending routed frame that names us as the current
     /// repeater. The forwarded copy keeps the original source and
     /// destination but carries our rolled sequence number, so duplicate
     /// filters see each hop as a distinct transmission.
     pub fn poll(&mut self) {
-        while let Some(rx) = self.radio.try_recv() {
-            let Ok(frame) = MacFrame::decode(&rx.bytes) else { continue };
-            if frame.home_id() != self.home_id
-                || frame.frame_control().header_type != zwave_protocol::frame::HeaderType::Routed
-            {
-                continue;
-            }
-            let Ok((mut header, apl)) = RoutingHeader::decode(frame.payload()) else { continue };
-            if header.current_repeater() != Some(self.node_id) {
-                continue;
-            }
-            header.advance();
-            let mut payload = header.encode();
-            payload.extend_from_slice(apl);
-            let mut fc = frame.frame_control();
-            fc.sequence = self.seq;
-            self.seq = (self.seq + 1) & 0x0F;
-            if let Ok(forwarded) = MacFrame::try_new(
-                self.home_id,
-                frame.src(),
-                fc,
-                frame.dst(),
-                payload,
-                zwave_protocol::ChecksumKind::Cs8,
-            ) {
-                self.radio.transmit(&forwarded.encode());
-                self.frames_forwarded += 1;
-            }
+        while let Some(rx) = self.radio.recv_where(|raw| self.accepts(raw)) {
+            self.receive(&rx.bytes);
+        }
+    }
+
+    /// Processes one frame as if it had just arrived, with no receive
+    /// filter: what [`SimRepeater::poll`] does for each frame
+    /// [`SimRepeater::accepts`] passes.
+    pub fn receive(&mut self, raw: &[u8]) {
+        let Ok(frame) = MacFrame::decode(raw) else { return };
+        if frame.home_id() != self.home_id
+            || frame.frame_control().header_type != HeaderType::Routed
+        {
+            return;
+        }
+        let Ok((mut header, apl)) = RoutingHeader::decode(frame.payload()) else { return };
+        if header.current_repeater() != Some(self.node_id) {
+            return;
+        }
+        header.advance();
+        let mut payload = header.encode();
+        payload.extend_from_slice(apl);
+        let mut fc = frame.frame_control();
+        fc.sequence = self.seq;
+        self.seq = (self.seq + 1) & 0x0F;
+        if let Ok(forwarded) = MacFrame::try_new(
+            self.home_id,
+            frame.src(),
+            fc,
+            frame.dst(),
+            payload,
+            zwave_protocol::ChecksumKind::Cs8,
+        ) {
+            self.radio.transmit(&forwarded.encode());
+            self.frames_forwarded += 1;
         }
     }
 }

@@ -145,43 +145,58 @@ impl SimSensor {
         if self.state == SensorState::Sleeping {
             return;
         }
-        while let Some(rx) = self.radio.try_recv() {
-            let Ok(frame) = MacFrame::decode(&rx.bytes) else { continue };
-            if frame.home_id() != self.home_id || frame.dst() != self.node_id {
-                continue;
-            }
-            let Ok(payload) = ApplicationPayload::parse(frame.payload()) else { continue };
-            self.coverage.record(
-                payload.command_class().0,
-                payload.command().unwrap_or(0),
-                cov::DEVICE,
-            );
-            if payload.command_class().0 == 0x98
-                && payload.command() == Some(s0::cmd::NONCE_REPORT)
-                && payload.params().len() >= 8
-            {
-                let mut receiver_nonce = [0u8; 8];
-                receiver_nonce.copy_from_slice(&payload.params()[..8]);
-                // Sender nonce: deterministic per report.
-                self.nonce_counter += 1;
-                let mut sender_nonce = [0xB0u8; 8];
-                sender_nonce[..8].copy_from_slice(&self.nonce_counter.to_be_bytes());
-                let report = [0x30, 0x03, if self.motion { 0xFF } else { 0x00 }, 0x0C];
-                let encap = s0::encapsulate(
-                    &self.keys,
-                    self.node_id.0,
-                    self.controller.0,
-                    &sender_nonce,
-                    &receiver_nonce,
-                    &report,
-                );
-                self.send(encap);
-                self.reports_sent += 1;
-                // No more information: back to sleep.
-                self.send(vec![0x84, 0x08]);
-                self.state = SensorState::Sleeping;
-            }
+        while let Some(rx) = self.radio.recv_where(|raw| self.accepts(raw)) {
+            self.receive(&rx.bytes);
         }
+    }
+
+    /// Processes one frame as if it had just arrived, with no receive
+    /// filter: what [`SimSensor::poll`] does, while awake, for each frame
+    /// [`SimSensor::accepts`] passes.
+    pub fn receive(&mut self, raw: &[u8]) {
+        let Ok(frame) = MacFrame::decode(raw) else { return };
+        if frame.home_id() != self.home_id || frame.dst() != self.node_id {
+            return;
+        }
+        let Ok(payload) = ApplicationPayload::parse(frame.payload()) else { return };
+        self.coverage.record(
+            payload.command_class().0,
+            payload.command().unwrap_or(0),
+            cov::DEVICE,
+        );
+        if payload.command_class().0 == 0x98
+            && payload.command() == Some(s0::cmd::NONCE_REPORT)
+            && payload.params().len() >= 8
+        {
+            let mut receiver_nonce = [0u8; 8];
+            receiver_nonce.copy_from_slice(&payload.params()[..8]);
+            // Sender nonce: deterministic per report.
+            self.nonce_counter += 1;
+            let mut sender_nonce = [0xB0u8; 8];
+            sender_nonce[..8].copy_from_slice(&self.nonce_counter.to_be_bytes());
+            let report = [0x30, 0x03, if self.motion { 0xFF } else { 0x00 }, 0x0C];
+            let encap = s0::encapsulate(
+                &self.keys,
+                self.node_id.0,
+                self.controller.0,
+                &sender_nonce,
+                &receiver_nonce,
+                &report,
+            );
+            self.send(encap);
+            self.reports_sent += 1;
+            // No more information: back to sleep.
+            self.send(vec![0x84, 0x08]);
+            self.state = SensorState::Sleeping;
+        }
+    }
+
+    /// Whether [`SimSensor::poll`] could act on `raw`: a frame of this
+    /// home addressed to the sensor with a payload to parse.
+    pub fn accepts(&self, raw: &[u8]) -> bool {
+        MacFrame::peek(raw).is_some_and(|peek| {
+            peek.home_id == self.home_id && peek.dst == self.node_id && peek.carries_payload()
+        })
     }
 
     /// Whether the sensor is currently asleep.

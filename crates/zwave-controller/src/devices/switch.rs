@@ -3,8 +3,8 @@
 use std::time::Duration;
 
 use zwave_protocol::apl::ApplicationPayload;
-use zwave_protocol::{HomeId, MacFrame, NodeId, RoutingHeader};
-use zwave_radio::{Medium, Transceiver};
+use zwave_protocol::{HeaderType, HomeId, MacFrame, NodeId, RoutingHeader};
+use zwave_radio::{FrameBuf, Medium, Transceiver};
 
 use crate::coverage::{state as cov, CoverageMap};
 
@@ -124,74 +124,90 @@ impl SimSwitch {
     /// Processes pending frames (legacy devices accept unencrypted
     /// commands — the injection-prone class of Section II-A1).
     pub fn poll(&mut self) {
-        while let Some(rx) = self.radio.try_recv() {
-            let Ok(frame) = MacFrame::decode(&rx.bytes) else { continue };
-            if frame.home_id() != self.home_id {
-                continue;
-            }
-            // Routing-slave duty: forward routed frames whose current
-            // repeater is us, advancing the hop index; accept routed
-            // frames that completed their final leg addressed to us.
-            if frame.frame_control().header_type == zwave_protocol::frame::HeaderType::Routed {
-                if let Ok((mut header, apl)) =
-                    zwave_protocol::RoutingHeader::decode(frame.payload())
-                {
-                    if header.current_repeater() == Some(self.node_id) {
-                        header.advance();
-                        let mut payload = header.encode();
-                        payload.extend_from_slice(apl);
-                        let mut fc = frame.frame_control();
-                        fc.sequence = self.seq;
-                        self.seq = (self.seq + 1) & 0x0F;
-                        if let Ok(forwarded) = MacFrame::try_new(
-                            self.home_id,
-                            frame.src(),
-                            fc,
-                            frame.dst(),
-                            payload,
-                            zwave_protocol::ChecksumKind::Cs8,
-                        ) {
-                            self.radio.transmit(&forwarded.encode());
-                        }
-                    } else if header.on_final_leg() && frame.dst() == self.node_id {
-                        if frame.frame_control().ack_requested {
-                            let ack = MacFrame::ack(
-                                self.home_id,
-                                self.node_id,
-                                frame.src(),
-                                frame.frame_control().sequence,
-                            );
-                            self.radio.transmit(&ack.encode());
-                        }
-                        if header.outbound {
-                            self.send_routed_ack(frame.src(), &header);
-                            if let Ok(payload) = ApplicationPayload::parse(apl) {
-                                self.handle_apl(frame.src(), &payload);
-                            }
-                        } else {
-                            // The routed acknowledgement for one of our
-                            // own routed reports made it back.
-                            self.routed_acks_received += 1;
-                        }
-                    }
-                }
-                continue;
-            }
-            if frame.dst() != self.node_id {
-                continue;
-            }
-            if frame.frame_control().ack_requested && !frame.is_ack() {
-                let ack = MacFrame::ack(
-                    self.home_id,
-                    self.node_id,
-                    frame.src(),
-                    frame.frame_control().sequence,
-                );
-                self.radio.transmit(&ack.encode());
-            }
-            let Ok(payload) = ApplicationPayload::parse(frame.payload()) else { continue };
-            self.handle_apl(frame.src(), &payload);
+        while let Some(rx) = self.radio.recv_where(|raw| self.accepts(raw)) {
+            self.receive(&rx.bytes);
         }
+    }
+
+    /// Processes one frame as if it had just arrived, with no receive
+    /// filter: what [`SimSwitch::poll`] does for each frame
+    /// [`SimSwitch::accepts`] passes.
+    pub fn receive(&mut self, raw: &[u8]) {
+        let Ok(frame) = MacFrame::decode(raw) else { return };
+        if frame.home_id() != self.home_id {
+            return;
+        }
+        // Routing-slave duty: forward routed frames whose current
+        // repeater is us, advancing the hop index; accept routed
+        // frames that completed their final leg addressed to us.
+        if frame.frame_control().header_type == HeaderType::Routed {
+            let Ok((mut header, apl)) = RoutingHeader::decode(frame.payload()) else { return };
+            if header.current_repeater() == Some(self.node_id) {
+                header.advance();
+                let mut payload = header.encode();
+                payload.extend_from_slice(apl);
+                let mut fc = frame.frame_control();
+                fc.sequence = self.seq;
+                self.seq = (self.seq + 1) & 0x0F;
+                if let Ok(forwarded) = MacFrame::try_new(
+                    self.home_id,
+                    frame.src(),
+                    fc,
+                    frame.dst(),
+                    payload,
+                    zwave_protocol::ChecksumKind::Cs8,
+                ) {
+                    self.radio.transmit(&forwarded.encode());
+                }
+            } else if header.on_final_leg() && frame.dst() == self.node_id {
+                if frame.frame_control().ack_requested {
+                    let ack = MacFrame::ack(
+                        self.home_id,
+                        self.node_id,
+                        frame.src(),
+                        frame.frame_control().sequence,
+                    );
+                    self.radio.transmit_buf(&FrameBuf::from(ack.encode()));
+                }
+                if header.outbound {
+                    self.send_routed_ack(frame.src(), &header);
+                    if let Ok(payload) = ApplicationPayload::parse(apl) {
+                        self.handle_apl(frame.src(), &payload);
+                    }
+                } else {
+                    // The routed acknowledgement for one of our own routed
+                    // reports made it back.
+                    self.routed_acks_received += 1;
+                }
+            }
+            return;
+        }
+        if frame.dst() != self.node_id {
+            return;
+        }
+        if frame.frame_control().ack_requested && !frame.is_ack() {
+            let ack = MacFrame::ack(
+                self.home_id,
+                self.node_id,
+                frame.src(),
+                frame.frame_control().sequence,
+            );
+            self.radio.transmit_buf(&FrameBuf::from(ack.encode()));
+        }
+        let Ok(payload) = ApplicationPayload::parse(frame.payload()) else { return };
+        self.handle_apl(frame.src(), &payload);
+    }
+
+    /// Whether [`SimSwitch::poll`] could act on `raw`: a routed frame of
+    /// this home (it may be ours to relay), or one addressed to the switch
+    /// other than a bare MAC ack. An Ack-type frame that carries a payload
+    /// still passes, since the switch parses any frame type's payload.
+    pub fn accepts(&self, raw: &[u8]) -> bool {
+        MacFrame::peek(raw).is_some_and(|peek| {
+            peek.home_id == self.home_id
+                && (peek.header_type == Some(HeaderType::Routed)
+                    || (peek.dst == self.node_id && !peek.is_empty_ack()))
+        })
     }
 
     fn handle_apl(&mut self, src: NodeId, payload: &ApplicationPayload) {
@@ -218,7 +234,7 @@ impl SimSwitch {
         let mut fc = zwave_protocol::frame::FrameControl::singlecast(self.seq);
         self.seq = (self.seq + 1) & 0x0F;
         fc.sequence = self.seq;
-        fc.header_type = zwave_protocol::frame::HeaderType::Routed;
+        fc.header_type = HeaderType::Routed;
         fc.ack_requested = false;
         if let Ok(frame) = MacFrame::try_new(
             self.home_id,
@@ -253,7 +269,7 @@ impl SimSwitch {
         let mut fc = zwave_protocol::frame::FrameControl::singlecast(self.seq);
         self.seq = (self.seq + 1) & 0x0F;
         fc.sequence = self.seq;
-        fc.header_type = zwave_protocol::frame::HeaderType::Routed;
+        fc.header_type = HeaderType::Routed;
         if let Ok(frame) = MacFrame::try_new(
             self.home_id,
             self.node_id,

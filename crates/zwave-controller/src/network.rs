@@ -34,7 +34,14 @@ pub struct HomeNetwork {
     repeaters: Vec<SimRepeater>,
     neighbors: NeighborTable,
     topology: Topology,
+    /// Pumps cut off at [`PUMP_ROUNDS`] while their last round still made
+    /// progress.
+    pump_cap_hits: u64,
 }
+
+/// The most poll rounds one [`HomeNetwork::pump`] runs before giving up on
+/// quiescence.
+const PUMP_ROUNDS: usize = 16;
 
 impl HomeNetwork {
     /// Builds the home for `model` wired as `topology`, with keys, home
@@ -187,6 +194,7 @@ impl HomeNetwork {
             repeaters,
             neighbors,
             topology,
+            pump_cap_hits: 0,
         }
     }
 
@@ -296,17 +304,24 @@ impl HomeNetwork {
         map
     }
 
+    /// How many pumps hit the round cap while their last round still made
+    /// progress, possibly leaving traffic for a later pump.
+    pub fn pump_cap_hits(&self) -> u64 {
+        self.pump_cap_hits
+    }
+
     /// Lets every station process pending traffic, event-driven: each
     /// round routes fired scheduler wakeups to their owners, then polls —
     /// in fixed station order — only the stations with pending frames or
     /// fired timers, until the network quiesces (bounded to keep
-    /// adversarial impairment schedules from spinning forever).
+    /// adversarial impairment schedules from spinning forever; each pump
+    /// the bound cuts short counts in [`HomeNetwork::pump_cap_hits`]).
     pub fn pump(&mut self) {
         let ctrl_idx = self.controller.station_index();
         let lock_idx = self.lock.station_index();
         let switch_idx = self.switch.station_index();
         let sensor_idx = self.sensor.as_ref().map(|s| s.station_index());
-        for _ in 0..16 {
+        for _ in 0..PUMP_ROUNDS {
             let fired = self.medium.take_fired_actors();
             for &actor in &fired {
                 if actor == lock_idx {
@@ -349,9 +364,10 @@ impl HomeNetwork {
                 }
             }
             if !progressed {
-                break;
+                return;
             }
         }
+        self.pump_cap_hits += 1;
     }
 
     /// One round of normal network traffic (the exchanges ZCover's passive

@@ -124,6 +124,45 @@ impl FrameControl {
     }
 }
 
+// Byte offsets of the Figure 1 header fields, shared by
+// [`MacFrame::decode`] and [`MacFrame::peek`].
+const HOME_ID_LEN: usize = 4;
+const SRC_AT: usize = 4;
+const P1_AT: usize = 5;
+const P2_AT: usize = 6;
+const LEN_AT: usize = 7;
+const DST_AT: usize = 8;
+
+/// The MAC header fields a receiver filters on, read in place by
+/// [`MacFrame::peek`]: no checksum check, no allocation, no copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MacPeek {
+    /// The network home identifier.
+    pub home_id: HomeId,
+    /// The receiver node id (DST field).
+    pub dst: NodeId,
+    /// The header type, or `None` for a reserved nibble (such a frame
+    /// never decodes).
+    pub header_type: Option<HeaderType>,
+    /// The LEN field as declared; a frame decodes only when it equals the
+    /// wire length.
+    pub len: u8,
+}
+
+impl MacPeek {
+    /// Whether the declared length leaves room for a payload between the
+    /// header and the CS-8 trailer [`MacFrame::decode`] expects. A frame
+    /// that decodes while this is `false` carries an empty payload.
+    pub fn carries_payload(&self) -> bool {
+        usize::from(self.len) > MAC_HEADER_LEN + ChecksumKind::Cs8.len()
+    }
+
+    /// Whether this is a bare MAC acknowledgement: Ack type, no payload.
+    pub fn is_empty_ack(&self) -> bool {
+        self.header_type == Some(HeaderType::Ack) && !self.carries_payload()
+    }
+}
+
 /// A complete Z-Wave MAC frame (Figure 1 of the paper).
 ///
 /// Invariants maintained by constructors and [`MacFrame::decode`]:
@@ -301,6 +340,29 @@ impl MacFrame {
         out.extend_from_slice(&self.payload);
     }
 
+    /// The home id of raw wire bytes (`None` when shorter than the field):
+    /// the transceiver's hardware filter, which sees frames too short or
+    /// malformed to decode.
+    pub fn peek_home_id(bytes: &[u8]) -> Option<HomeId> {
+        bytes.first_chunk::<HOME_ID_LEN>().map(|id| HomeId::from_bytes(*id))
+    }
+
+    /// Reads the addressing fields of raw wire bytes in place, or `None`
+    /// when the buffer is shorter than a MAC header. Nothing is validated:
+    /// a frame that peeks may still fail [`MacFrame::decode`], so a
+    /// receiver may only use a peek to drop frames it would discard anyway.
+    pub fn peek(bytes: &[u8]) -> Option<MacPeek> {
+        if bytes.len() < MAC_HEADER_LEN {
+            return None;
+        }
+        Some(MacPeek {
+            home_id: Self::peek_home_id(bytes)?,
+            dst: NodeId(bytes[DST_AT]),
+            header_type: HeaderType::from_nibble(bytes[P1_AT]).ok(),
+            len: bytes[LEN_AT],
+        })
+    }
+
     /// Parses and validates a frame from raw wire bytes (CS-8 trailer).
     ///
     /// # Errors
@@ -326,7 +388,7 @@ impl MacFrame {
         if bytes.len() > MAX_MAC_FRAME_LEN {
             return Err(ProtocolError::FrameTooLong { len: bytes.len() });
         }
-        let declared = bytes[7] as usize;
+        let declared = bytes[LEN_AT] as usize;
         if declared != bytes.len() {
             return Err(ProtocolError::LengthMismatch { declared, actual: bytes.len() });
         }
@@ -350,9 +412,9 @@ impl MacFrame {
             }
         }
         let home_id = HomeId::from_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        let src = NodeId(bytes[4]);
-        let frame_control = FrameControl::decode(bytes[5], bytes[6])?;
-        let dst = NodeId(bytes[8]);
+        let src = NodeId(bytes[SRC_AT]);
+        let frame_control = FrameControl::decode(bytes[P1_AT], bytes[P2_AT])?;
+        let dst = NodeId(bytes[DST_AT]);
         let payload = body[MAC_HEADER_LEN..].to_vec();
         Ok(MacFrame { home_id, src, frame_control, dst, payload, checksum_kind: kind })
     }
@@ -373,6 +435,41 @@ mod tests {
         assert_eq!(wire.len(), f.encoded_len());
         let back = MacFrame::decode(&wire).unwrap();
         assert_eq!(back, f);
+    }
+
+    #[test]
+    fn peek_reads_the_fields_decode_would() {
+        let wire = sample().encode();
+        let peek = MacFrame::peek(&wire).unwrap();
+        let frame = MacFrame::decode(&wire).unwrap();
+        assert_eq!(peek.home_id, frame.home_id());
+        assert_eq!(peek.dst, frame.dst());
+        assert_eq!(peek.header_type, Some(frame.frame_control().header_type));
+        assert_eq!(usize::from(peek.len), wire.len());
+        assert!(peek.carries_payload() && !peek.is_empty_ack());
+        assert_eq!(MacFrame::peek_home_id(&wire), Some(frame.home_id()));
+    }
+
+    #[test]
+    fn peek_tells_bare_acks_from_acks_with_payload() {
+        let ack = MacFrame::ack(HomeId(1), NodeId(2), NodeId(3), 4).encode();
+        assert!(MacFrame::peek(&ack).unwrap().is_empty_ack());
+        let mut loaded = MacFrame::ack(HomeId(1), NodeId(2), NodeId(3), 4);
+        loaded.set_payload(vec![0x9F, 0x03]).unwrap();
+        let peek = MacFrame::peek(&loaded.encode()).unwrap();
+        assert_eq!(peek.header_type, Some(HeaderType::Ack));
+        assert!(peek.carries_payload() && !peek.is_empty_ack());
+    }
+
+    #[test]
+    fn peek_needs_only_the_bytes_it_reads() {
+        let wire = sample().encode();
+        assert_eq!(MacFrame::peek_home_id(&wire[..3]), None);
+        assert_eq!(MacFrame::peek_home_id(&wire[..4]), Some(HomeId(0xCB95A34A)));
+        assert_eq!(MacFrame::peek(&wire[..MAC_HEADER_LEN - 1]), None);
+        let mut reserved = wire.clone();
+        reserved[5] = 0x0F;
+        assert_eq!(MacFrame::peek(&reserved).unwrap().header_type, None);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod types;
 pub use apl::ApplicationPayload;
 pub use command_class::{CommandClassId, CommandKind};
 pub use error::ProtocolError;
-pub use frame::{FrameControl, HeaderType, MacFrame};
+pub use frame::{FrameControl, HeaderType, MacFrame, MacPeek};
 pub use multicast::MulticastHeader;
 pub use nif::{NodeInfoFrame, ZWAVE_PROTOCOL_CMD_NODE_INFO, ZWAVE_PROTOCOL_CMD_REQUEST_NODE_INFO};
 pub use registry::{CommandClassSpec, CommandSpec, FunctionalCluster, ParamSpec, Registry};

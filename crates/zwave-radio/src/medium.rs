@@ -342,13 +342,18 @@ impl Medium {
     /// later batch, so the release order is exactly the per-event one.
     fn flush(&self) {
         let air_busy = SimInstant::from_micros(self.air_busy_until.load(Ordering::SeqCst));
-        let target = self.clock.now().max(air_busy);
+        let now = self.clock.now();
+        let target = now.max(air_busy);
         // The lock-free probe keeps the (dominant) nothing-due flushes off
         // the kernel mutex entirely.
         if self.sched.maybe_due(target) {
             self.drain_due(target);
         }
-        self.clock.advance_to(target);
+        // Time never runs backwards, so an idle channel has nothing to
+        // advance: skip the atomic read-modify-write.
+        if target > now {
+            self.clock.advance_to(target);
+        }
     }
 
     /// Applies every due event up to `target` in same-instant batches.
@@ -495,10 +500,14 @@ impl Medium {
         }
         let ge_bad = inner.ge_bad;
         let blacked_out = inner.impairment.blacked_out(arrival.as_micros());
+        // With no stage and a noise model that can neither lose nor
+        // corrupt, no receiver would draw from its RNG: every receiver gets
+        // the shared frame unchanged.
+        let clean = inner.impairment.is_clean() && noise.is_clean();
 
-        let mut deliveries = Vec::new();
         // Split borrows: stats updated while iterating stations.
         let MediumInner { stations, stats, impairment, .. } = &mut *inner;
+        let mut deliveries = Vec::with_capacity(stations.len());
         for (i, station) in stations.iter().enumerate() {
             if i == from || !station.enabled || !station.region.interoperates_with(tx_region) {
                 continue;
@@ -508,6 +517,17 @@ impl Medium {
                 continue;
             }
             let distance = (station.position_m - tx_pos).abs();
+            let rssi_cdbm = (rssi_dbm(distance) * 100.0) as i32;
+            if clean {
+                deliveries.push(Delivery {
+                    station: i,
+                    bytes: frame.clone(),
+                    rssi_cdbm,
+                    duplicated: false,
+                    reorder_window: 0,
+                });
+                continue;
+            }
             // Every random outcome at this receiver derives from
             // (seed, frame index, receiver index): deterministic regardless
             // of how many draws other frames or receivers consumed.
@@ -575,7 +595,7 @@ impl Medium {
             deliveries.push(Delivery {
                 station: i,
                 bytes: delivered,
-                rssi_cdbm: (rssi_dbm(distance) * 100.0) as i32,
+                rssi_cdbm,
                 duplicated,
                 reorder_window,
             });
@@ -617,8 +637,28 @@ impl Transceiver {
     /// Pops the next received frame, if any (releasing due deliveries
     /// first).
     pub fn try_recv(&self) -> Option<RxFrame> {
+        self.recv_where(|_| true)
+    }
+
+    /// Pops the next received frame whose bytes `wanted` accepts, dropping
+    /// every rejected frame queued ahead of it (releasing due deliveries
+    /// first). However many frames it drops, this is one flush and one
+    /// lock: the station transmits nothing between rejected frames, so a
+    /// flush per frame would find nothing new.
+    ///
+    /// `wanted` runs under the medium lock and must not touch the medium.
+    /// A station passes the filter that rejects exactly the frames it
+    /// would discard without any side effect.
+    pub fn recv_where(&self, wanted: impl Fn(&[u8]) -> bool) -> Option<RxFrame> {
         self.medium.flush();
-        self.medium.inner.lock().stations[self.index].queue.pop_front()
+        let mut inner = self.medium.inner.lock();
+        let queue = &mut inner.stations[self.index].queue;
+        while let Some(frame) = queue.pop_front() {
+            if wanted(&frame.bytes) {
+                return Some(frame);
+            }
+        }
+        None
     }
 
     /// Drains every queued frame (releasing due deliveries first).
@@ -712,6 +752,22 @@ mod tests {
         assert_eq!(a.try_recv(), None, "sender does not hear itself");
         assert_eq!(b.try_recv().unwrap().bytes, vec![1, 2, 3]);
         assert_eq!(c.try_recv().unwrap().bytes, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn recv_where_drops_rejected_frames_up_to_the_first_wanted_one() {
+        let medium = Medium::new(SimClock::new(), 1);
+        let a = medium.attach(0.0);
+        let b = medium.attach(5.0);
+        for byte in [1u8, 2, 3, 4] {
+            a.transmit(&[byte]);
+        }
+        let even = |bytes: &[u8]| bytes[0].is_multiple_of(2);
+        assert_eq!(b.recv_where(even).unwrap().bytes, vec![2]);
+        assert_eq!(b.pending(), 2, "frame 1 was dropped, 3 and 4 wait");
+        assert_eq!(b.recv_where(|bytes| bytes[0] > 9), None);
+        assert_eq!(b.pending(), 0, "a miss drains the ring");
+        assert_eq!(medium.stats().deliveries, 4);
     }
 
     #[test]

@@ -35,6 +35,13 @@ impl NoiseModel {
         NoiseModel { base_loss, ..NoiseModel::default() }
     }
 
+    /// Whether this model can neither lose nor corrupt a frame at any
+    /// distance; [`NoiseModel::roll_loss`] and
+    /// [`NoiseModel::corruption_plan`] then never draw from their RNG.
+    pub fn is_clean(&self) -> bool {
+        self.base_loss <= 0.0 && self.loss_per_meter <= 0.0 && self.corruption <= 0.0
+    }
+
     /// Loss probability for a receiver at `distance_m` metres.
     pub fn loss_probability(&self, distance_m: f64) -> f64 {
         (self.base_loss + self.loss_per_meter * distance_m).clamp(0.0, 1.0)
@@ -95,6 +102,15 @@ mod tests {
             assert!(!noise.roll_corruption(&mut rng, &mut frame));
         }
         assert_eq!(frame, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn only_a_model_that_can_neither_lose_nor_corrupt_is_clean() {
+        assert!(NoiseModel::clean().is_clean());
+        assert!(!NoiseModel::lossy(0.01).is_clean());
+        assert!(!NoiseModel { loss_per_meter: 0.001, ..NoiseModel::default() }.is_clean());
+        assert!(!NoiseModel { corruption: 0.5, ..NoiseModel::default() }.is_clean());
+        assert!(!NoiseModel { corruption: f64::NAN, ..NoiseModel::default() }.is_clean());
     }
 
     #[test]

@@ -37,6 +37,19 @@ fn smart_hubs_yield_13_bugs_missing_the_host_only_pair() {
 }
 
 #[test]
+fn clean_campaigns_never_hit_the_pump_cap() {
+    // A pump that runs out of rounds leaves traffic for later; on a clean
+    // channel every pump of a D1 hour must quiesce on its own.
+    let mut tb = Testbed::new(DeviceModel::D1, 0xD1CE);
+    let mut zc = ZCover::attach(&tb, 70.0);
+    let report = zc
+        .run_campaign(&mut tb, FuzzConfig::full(Duration::from_secs(3600), 0xD1CE))
+        .expect("fingerprinting succeeds");
+    assert!(!report.campaign.findings.is_empty());
+    assert_eq!(tb.pump_cap_hits(), 0);
+}
+
+#[test]
 fn discovery_reports_match_table4_for_every_device() {
     for model in DeviceModel::all() {
         let report = campaign(model, 3);
