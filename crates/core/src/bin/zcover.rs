@@ -56,6 +56,26 @@ fn num_flag<N: std::str::FromStr>(args: &[String], name: &str, default: N) -> N 
     }
 }
 
+/// The per-campaign virtual budget from `--hours` (`default` when the
+/// flag is absent), returned with the hours it was read from. Only a
+/// finite, non-negative value whose budget in microseconds fits a `u64`
+/// (the simulated clock counts `u64` microseconds) is accepted; anything
+/// else exits with status 2 naming the flag and the value.
+fn hours_flag(args: &[String], default: f64) -> (f64, Duration) {
+    let hours: f64 = num_flag(args, "--hours", default);
+    // 2^64 as an f64; `u64::MAX as f64` rounds up to it.
+    const MICROS_LIMIT: f64 = 18_446_744_073_709_551_616.0;
+    if !(hours.is_finite() && hours >= 0.0 && hours * 3600.0 * 1e6 < MICROS_LIMIT) {
+        let value = flag(args, "--hours").unwrap_or_default();
+        eprintln!(
+            "invalid --hours value {value:?}; expected a finite number of hours >= 0 \
+             whose budget fits the simulated clock"
+        );
+        std::process::exit(2);
+    }
+    (hours, Duration::from_secs_f64(hours * 3600.0))
+}
+
 fn parse_topology(args: &[String]) -> Topology {
     let name = flag(args, "--topology").unwrap_or_else(|| "mesh".to_string());
     Topology::parse(&name).unwrap_or_else(|| {
@@ -201,8 +221,7 @@ fn main() {
         }
         "fuzz" => {
             let model = parse_device(&args);
-            let hours: f64 = num_flag(&args, "--hours", 1.0);
-            let budget = Duration::from_secs_f64(hours * 3600.0);
+            let (hours, budget) = hours_flag(&args, 1.0);
             let config = parse_config(&args, budget, seed);
             let profile = config.impairment;
             let json = json_output(&args);
@@ -271,10 +290,9 @@ fn main() {
         }
         "trials" => {
             let model = parse_device(&args);
-            let hours: f64 = num_flag(&args, "--hours", 1.0);
+            let (hours, budget) = hours_flag(&args, 1.0);
             let trials: u64 = num_flag(&args, "--trials", 5u64).max(1);
             let workers: usize = num_flag(&args, "--workers", 1);
-            let budget = Duration::from_secs_f64(hours * 3600.0);
             let config = parse_config(&args, budget, seed);
             let profile = config.impairment;
             let json = json_output(&args);
@@ -287,15 +305,23 @@ fn main() {
             );
             let trace_spec = flag(&args, "--record")
                 .map(|prefix| TraceSpec { device: model.idx().to_string(), prefix: prefix.into() });
-            let summary = executor
-                .run_with_trace(
-                    trials,
-                    seed,
-                    |trial_seed| Testbed::new(model, trial_seed),
-                    &config,
-                    trace_spec.as_ref(),
-                )
-                .expect("fingerprinting failed");
+            let summary = match executor.run_with_trace(
+                trials,
+                seed,
+                |trial_seed| Testbed::new(model, trial_seed),
+                &config,
+                trace_spec.as_ref(),
+            ) {
+                Ok(summary) => summary,
+                Err(ZCoverError::Trial { trial, source }) => {
+                    eprintln!("trials failed at trial {trial}: {source}");
+                    std::process::exit(1);
+                }
+                Err(e) => {
+                    eprintln!("trials failed: {e}");
+                    std::process::exit(1);
+                }
+            };
             if let Some(spec) = &trace_spec {
                 eprintln!(
                     "per-trial traces recorded to {} .. {}",
@@ -368,10 +394,9 @@ fn main() {
             // the high-priority classes, and a couple of outage recoveries
             // on every Table II model — enough for several bug classes
             // per home while 10 000 homes still sweep in about a minute.
-            let hours: f64 = num_flag(&args, "--hours", 0.05);
+            let (hours, budget) = hours_flag(&args, 0.05);
             let workers: usize = num_flag(&args, "--workers", 1);
             let shard_size: u64 = num_flag(&args, "--shard-size", DEFAULT_SHARD_SIZE);
-            let budget = Duration::from_secs_f64(hours * 3600.0);
             let base = parse_config(&args, budget, seed);
             let profile = base.impairment;
             let json = json_output(&args);

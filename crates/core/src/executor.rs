@@ -102,7 +102,7 @@ impl CampaignExecutor {
     ///
     /// # Errors
     ///
-    /// When trials fail fingerprinting, returns the error of the
+    /// When trials fail, returns [`ZCoverError::Trial`] for the
     /// lowest-indexed failing trial (again independent of scheduling).
     pub fn run<T, F>(
         &self,
@@ -150,7 +150,13 @@ impl CampaignExecutor {
         });
         // Merge in trial-index order; the first failing trial's error wins
         // independent of which worker finished when.
-        let per_trial = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let per_trial = results
+            .into_iter()
+            .zip(0u64..)
+            .map(|(outcome, trial)| {
+                outcome.map_err(|source| ZCoverError::Trial { trial, source: Box::new(source) })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(TrialSummary::from_trials(per_trial))
     }
 
@@ -239,6 +245,61 @@ mod tests {
         assert_eq!(spec("out.jsonl").trial_path(2), PathBuf::from("out.trial2.jsonl"));
         assert_eq!(spec("out").trial_path(0), PathBuf::from("out.trial0.jsonl"));
         assert_eq!(spec("out.zct").trial_path(3), PathBuf::from("out.trial3.zct"));
+    }
+
+    /// A flat D1 testbed that, for the seeds in `silent`, never produces
+    /// the normal traffic fingerprinting listens for.
+    struct Flaky {
+        net: zwave_controller::HomeNetwork,
+        silent: bool,
+    }
+
+    impl FuzzTarget for Flaky {
+        fn medium(&self) -> &zwave_radio::Medium {
+            self.net.medium()
+        }
+
+        fn pump(&mut self) {
+            self.net.pump();
+        }
+
+        fn take_faults(&mut self) -> Vec<zwave_controller::FaultRecord> {
+            self.net.controller_mut().take_new_faults()
+        }
+
+        fn generate_normal_traffic(&mut self) {
+            if !self.silent {
+                self.net.exchange_normal_traffic();
+            }
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_trial_is_named_in_the_error() {
+        use std::time::Duration;
+        use zwave_controller::testbed::{DeviceModel, Testbed};
+
+        let silent = [derive_trial_seed(9, 1), derive_trial_seed(9, 3)];
+        let config = FuzzConfig::full(Duration::from_secs(5), 9);
+        for workers in [1usize, 2] {
+            let err = CampaignExecutor::new(workers)
+                .run(
+                    4,
+                    9,
+                    |seed| Flaky {
+                        net: Testbed::new(DeviceModel::D1, seed),
+                        silent: silent.contains(&seed),
+                    },
+                    &config,
+                )
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ZCoverError::Trial { trial: 1, source: Box::new(ZCoverError::NoTraffic) },
+                "{workers} workers"
+            );
+            assert_eq!(err.to_string(), "trial 1: passive scanning observed no z-wave traffic");
+        }
     }
 
     #[test]

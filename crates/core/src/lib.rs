@@ -97,6 +97,13 @@ pub enum ZCoverError {
         /// What went wrong in that home's campaign.
         source: Box<ZCoverError>,
     },
+    /// Trial `trial` of a multi-trial campaign failed with `source`.
+    Trial {
+        /// Index of the failing trial.
+        trial: u64,
+        /// What went wrong in that trial's campaign.
+        source: Box<ZCoverError>,
+    },
 }
 
 impl std::fmt::Display for ZCoverError {
@@ -106,6 +113,7 @@ impl std::fmt::Display for ZCoverError {
             ZCoverError::NoNifResponse => f.write_str("controller did not answer the NIF request"),
             ZCoverError::TraceIo(e) => write!(f, "trace recording failed: {e}"),
             ZCoverError::SweepHome { home, source } => write!(f, "home {home}: {source}"),
+            ZCoverError::Trial { trial, source } => write!(f, "trial {trial}: {source}"),
         }
     }
 }

@@ -394,6 +394,28 @@ mod tests {
     }
 
     #[test]
+    fn clean_mesh_protocol_stations_other_than_the_sensor_never_overflow() {
+        // The controller, lock, switch and repeaters service their radios
+        // every pump. The sleeping S0 sensor does not: it sheds the
+        // broadcasts of its sleep (see ROADMAP item 2).
+        let config =
+            SweepConfig::new(16, Topology::Mesh, FuzzConfig::full(Duration::from_secs(180), 42));
+        let mut sensor_homes = 0;
+        for home in 0..config.homes {
+            let (_, net) = run_home(&config, home, None).unwrap();
+            for (node, overflows) in net.station_rx_overflows() {
+                if node == zwave_controller::testbed::SENSOR_NODE {
+                    sensor_homes += 1;
+                    assert!(overflows > 0, "home {home}: the sleeping sensor kept up");
+                } else {
+                    assert_eq!(overflows, 0, "home {home}: node {node}");
+                }
+            }
+        }
+        assert!(sensor_homes > 0, "no sampled home has a sensor");
+    }
+
+    #[test]
     fn a_failing_home_is_named_in_the_sweep_error() {
         // Star home 66 (D4) gets no NIF reply under the lossy profile; the
         // 66 homes before it pass.

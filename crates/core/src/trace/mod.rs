@@ -39,11 +39,10 @@ pub mod binary;
 pub mod lines;
 pub mod stats;
 
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use zwave_controller::testbed::{DeviceModel, Testbed};
 use zwave_radio::sched::{Event, EventKind, EventObserver};
@@ -380,18 +379,19 @@ fn sched_record(event: &Event) -> Record {
 
 /// The shared journal both halves of the recorder append to: the scheduler
 /// observer (dequeue hook) and the [`TraceSink`] (fuzzer hook). One trial
-/// is single-threaded, so records interleave in true execution order.
+/// is single-threaded, so records interleave in true execution order, and
+/// the journal is a plain `RefCell` (the home it observes is `!Send`).
 /// Events are stored structurally — no string formatting happens during
 /// the campaign; rendering (JSONL) or encoding (binary) is deferred to
 /// serialization time.
 struct Journal {
-    records: Mutex<Vec<Record>>,
+    records: RefCell<Vec<Record>>,
     clock: SimClock,
 }
 
 impl Journal {
     fn push(&self, record: Record) {
-        self.records.lock().push(record);
+        self.records.borrow_mut().push(record);
     }
 
     fn fuzz(&self, ev: &str) {
@@ -413,7 +413,7 @@ impl EventObserver for Journal {
 /// or without one attached.
 pub struct TraceRecorder {
     meta: TraceMeta,
-    journal: Arc<Journal>,
+    journal: Rc<Journal>,
     medium: Medium,
 }
 
@@ -424,7 +424,7 @@ impl TraceRecorder {
     /// the same header reproduces the identical stream.
     pub fn attach(medium: &Medium, meta: TraceMeta) -> TraceRecorder {
         let journal =
-            Arc::new(Journal { records: Mutex::new(Vec::new()), clock: medium.clock().clone() });
+            Rc::new(Journal { records: RefCell::new(Vec::new()), clock: medium.clock().clone() });
         medium.scheduler().set_observer(Some(journal.clone()));
         TraceRecorder { meta, journal, medium: medium.clone() }
     }
@@ -433,7 +433,7 @@ impl TraceRecorder {
     /// returns the finished trace.
     pub fn finish(self, result: &CampaignResult) -> Trace {
         self.medium.scheduler().set_observer(None);
-        let mut events = std::mem::take(&mut *self.journal.records.lock());
+        let mut events = self.journal.records.take();
         events.push(Record::End {
             at_us: result.ended.as_micros(),
             packets: result.packets_sent,

@@ -2,7 +2,7 @@
 //! fail malformed input with exit code 2 and a byte-offset locus (plus
 //! whatever the CRC-protected header still says), never a panic; `zcover
 //! trace export` must convert between the formats losslessly. Bad flags
-//! and failed sweeps must exit with a message, never a panic.
+//! and failed sweeps or trials must exit with a message, never a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -257,4 +257,49 @@ fn a_failing_sweep_home_exits_1_naming_the_home() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.stdout.is_empty(), "a failed sweep printed a report");
+}
+
+#[test]
+fn out_of_range_hours_exit_2_naming_flag_and_value() {
+    // Each parses as an f64 but is no campaign budget: negative, not a
+    // number, infinite, or more microseconds than the simulated clock holds.
+    for command in ["fuzz", "trials", "sweep"] {
+        for value in ["-1", "nan", "inf", "1e20"] {
+            let args = [command, "--hours", value, "--homes", "1", "--trials", "1"];
+            let out = zcover(if command == "fuzz" { &args[..3] } else { &args[..] });
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} --hours {value}: {stderr}");
+            assert!(
+                stderr.contains(&format!("invalid --hours value \"{value}\"")),
+                "{command} --hours {value}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{stderr}");
+            assert!(out.stdout.is_empty(), "{command} --hours {value} ran anyway");
+        }
+    }
+}
+
+#[test]
+fn a_failing_trial_exits_1_naming_the_trial() {
+    // Trial 66 shares its seed with sweep home 66 above: D4 gets no NIF
+    // reply under the lossy profile, and the 66 trials before it pass.
+    let out = zcover(&[
+        "trials",
+        "--device",
+        "D4",
+        "--impairment",
+        "lossy",
+        "--trials",
+        "67",
+        "--hours",
+        "0.005",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("trials failed at trial 66: controller did not answer the NIF request"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "failed trials printed a summary");
 }

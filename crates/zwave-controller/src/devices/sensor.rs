@@ -95,6 +95,10 @@ impl SimSensor {
         self.radio.station_index()
     }
 
+    pub(crate) fn rx_overflows(&self) -> u64 {
+        self.radio.rx_overflows()
+    }
+
     pub(crate) fn has_pending(&self) -> bool {
         self.radio.pending() > 0
     }

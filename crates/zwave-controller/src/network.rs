@@ -310,6 +310,23 @@ impl HomeNetwork {
         self.pump_cap_hits
     }
 
+    /// Frames each protocol station's full rx ring has evicted unread, by
+    /// node id in station order: controller, lock, switch, the sensor if
+    /// present, then the repeaters. The rest of the medium's
+    /// `rx_overflows` belongs to stations the home does not own (the
+    /// attacker's dongle and sniffers). Kept out of the campaign counters
+    /// and reports.
+    pub fn station_rx_overflows(&self) -> Vec<(NodeId, u64)> {
+        let mut counts = vec![
+            (NodeId::CONTROLLER, self.controller.rx_overflows()),
+            (LOCK_NODE, self.lock.rx_overflows()),
+            (SWITCH_NODE, self.switch.rx_overflows()),
+        ];
+        counts.extend(self.sensor.as_ref().map(|s| (SENSOR_NODE, s.rx_overflows())));
+        counts.extend(self.repeaters.iter().map(|r| (r.node_id(), r.rx_overflows())));
+        counts
+    }
+
     /// Lets every station process pending traffic, event-driven: each
     /// round routes fired scheduler wakeups to their owners, then polls —
     /// in fixed station order — only the stations with pending frames or
@@ -440,6 +457,22 @@ mod tests {
         home.exchange_normal_traffic();
         let fresh_after = home.neighbors().freshness(SWITCH_NODE, first);
         assert!(fresh_after < fresh_before, "link to {first:?} did not age");
+    }
+
+    #[test]
+    fn per_station_rx_overflows_sum_to_the_medium_total() {
+        let seed = (0..64u64)
+            .find(|&seed| {
+                HomeNetwork::new(DeviceModel::D1, Topology::Mesh, seed).sensor().is_some()
+            })
+            .expect("some mesh home has a sensor");
+        let mut home = HomeNetwork::new(DeviceModel::D1, Topology::Mesh, seed);
+        let idle = home.attach_attacker(70.0);
+        while idle.rx_overflows() == 0 {
+            home.exchange_normal_traffic();
+        }
+        let protocol: u64 = home.station_rx_overflows().iter().map(|&(_, n)| n).sum();
+        assert_eq!(protocol + idle.rx_overflows(), home.medium().stats().rx_overflows);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! campaign completes in milliseconds of wall-clock time and is exactly
 //! reproducible.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Duration;
 
 /// A point in simulated time, measured in microseconds since clock start.
@@ -53,7 +53,9 @@ impl std::fmt::Display for SimInstant {
 
 /// A shared, monotically advancing virtual clock.
 ///
-/// Cloning yields another handle onto the same clock.
+/// Cloning yields another handle onto the same clock. The handles share a
+/// plain `Cell`, not an atomic: a clock belongs to one home, and a home is
+/// built and run on one thread, so the clock is `!Send` by design.
 ///
 /// ```
 /// use std::time::Duration;
@@ -66,7 +68,7 @@ impl std::fmt::Display for SimInstant {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    micros: Arc<AtomicU64>,
+    micros: Rc<Cell<u64>>,
 }
 
 impl SimClock {
@@ -77,17 +79,17 @@ impl SimClock {
 
     /// The current simulated time.
     pub fn now(&self) -> SimInstant {
-        SimInstant(self.micros.load(Ordering::SeqCst))
+        SimInstant(self.micros.get())
     }
 
     /// Advances the clock by `d`.
     pub fn advance(&self, d: Duration) {
-        self.micros.fetch_add(d.as_micros() as u64, Ordering::SeqCst);
+        self.micros.set(self.micros.get().wrapping_add(d.as_micros() as u64));
     }
 
     /// Advances to `target` if it is in the future; no-op otherwise.
     pub fn advance_to(&self, target: SimInstant) {
-        self.micros.fetch_max(target.0, Ordering::SeqCst);
+        self.micros.set(self.micros.get().max(target.0));
     }
 }
 

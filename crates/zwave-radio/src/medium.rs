@@ -23,12 +23,11 @@
 //! the clock there, so receive-side observers still see airtime-accounted
 //! time exactly as before.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rand::Rng;
 
 use crate::clock::{SimClock, SimInstant};
@@ -136,6 +135,9 @@ struct Station {
     position_m: f64,
     enabled: bool,
     region: Region,
+    /// Frames this station's full rx ring evicted unread (its share of
+    /// [`MediumStats::rx_overflows`]).
+    rx_overflows: u64,
 }
 
 #[derive(Debug)]
@@ -160,16 +162,19 @@ struct MediumInner {
 }
 
 /// The shared radio medium. Cloning yields another handle to the same air.
+///
+/// The handles share `Rc<RefCell<_>>` state, so a medium (like the home it
+/// carries) is `!Send`: it is built and run on one thread.
 #[derive(Debug, Clone)]
 pub struct Medium {
-    inner: Arc<Mutex<MediumInner>>,
+    inner: Rc<RefCell<MediumInner>>,
     sched: SimScheduler,
     clock: SimClock,
     /// Microseconds until which the channel is occupied; transmissions
-    /// serialize behind it, and queries flush (at least) up to it. Atomic
-    /// (only written under the `inner` lock) so the per-query `flush`
-    /// probe needs no lock at all.
-    air_busy_until: Arc<AtomicU64>,
+    /// serialize behind it, and queries flush (at least) up to it. A
+    /// `Cell` apart from `inner` (written only by `transmit`) so the
+    /// per-query `flush` probe is one load with no borrow.
+    air_busy_until: Rc<Cell<u64>>,
 }
 
 impl Medium {
@@ -194,7 +199,7 @@ impl Medium {
     fn with_scheduler(seed: u64, noise: NoiseModel, sched: SimScheduler) -> Self {
         let clock = sched.clock().clone();
         Medium {
-            inner: Arc::new(Mutex::new(MediumInner {
+            inner: Rc::new(RefCell::new(MediumInner {
                 stations: Vec::new(),
                 noise,
                 seed,
@@ -208,7 +213,7 @@ impl Medium {
             })),
             sched,
             clock,
-            air_busy_until: Arc::new(AtomicU64::new(0)),
+            air_busy_until: Rc::new(Cell::new(0)),
         }
     }
 
@@ -231,26 +236,27 @@ impl Medium {
     /// Attaches a transceiver tuned to an explicit RF region; radios in
     /// different regions cannot hear each other.
     pub fn attach_with_region(&self, position_m: f64, region: Region) -> Transceiver {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.stations.push(Station {
             queue: VecDeque::new(),
             promiscuous: false,
             position_m,
             enabled: true,
             region,
+            rx_overflows: 0,
         });
         Transceiver { medium: self.clone(), index: inner.stations.len() - 1 }
     }
 
     /// Replaces the impairment model.
     pub fn set_noise(&self, noise: NoiseModel) {
-        self.inner.lock().noise = noise;
+        self.inner.borrow_mut().noise = noise;
     }
 
     /// Installs a composable impairment schedule, resetting the bursty
     /// channel to its good state and (re)scripting blackout window events.
     pub fn set_impairment(&self, schedule: ImpairmentSchedule) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.impairment = schedule;
         inner.ge_bad = false;
         inner.blackout_gen += 1;
@@ -317,40 +323,40 @@ impl Medium {
 
     /// The active impairment schedule.
     pub fn impairment(&self) -> ImpairmentSchedule {
-        self.inner.lock().impairment.clone()
+        self.inner.borrow().impairment.clone()
     }
 
     /// Whether a scripted blackout window is open right now.
     pub fn in_blackout(&self) -> bool {
         self.flush();
-        self.inner.lock().in_blackout
+        self.inner.borrow().in_blackout
     }
 
     /// Current statistics snapshot (flushes in-flight frames first).
     pub fn stats(&self) -> MediumStats {
         self.flush();
-        self.inner.lock().stats
+        self.inner.borrow().stats
     }
 
     /// Releases every event due by `max(now, air_busy_until)` and advances
     /// the clock there. Idempotent; called by every receive-side query.
     ///
-    /// Dispatch is batched: each kernel lock round-trip drains *all*
-    /// events sharing the next due instant, then applies them outside the
-    /// lock. Events an apply schedules (a periodic blackout window's
+    /// Dispatch is batched: each kernel borrow drains *all* events sharing
+    /// the next due instant, then applies them after the borrow ends.
+    /// Events an apply schedules (a periodic blackout window's
     /// successor, say) carry higher sequence numbers and surface in a
     /// later batch, so the release order is exactly the per-event one.
     fn flush(&self) {
-        let air_busy = SimInstant::from_micros(self.air_busy_until.load(Ordering::SeqCst));
+        let air_busy = SimInstant::from_micros(self.air_busy_until.get());
         let now = self.clock.now();
         let target = now.max(air_busy);
-        // The lock-free probe keeps the (dominant) nothing-due flushes off
-        // the kernel mutex entirely.
+        // The borrow-free probe keeps the (dominant) nothing-due flushes
+        // off the kernel state entirely.
         if self.sched.maybe_due(target) {
             self.drain_due(target);
         }
         // Time never runs backwards, so an idle channel has nothing to
-        // advance: skip the atomic read-modify-write.
+        // advance: skip the clock store.
         if target > now {
             self.clock.advance_to(target);
         }
@@ -372,7 +378,7 @@ impl Medium {
     fn apply(&self, event: Event) {
         match event.kind {
             EventKind::FrameArrival(deliveries) => {
-                let mut inner = self.inner.lock();
+                let mut inner = self.inner.borrow_mut();
                 let MediumInner { stations, stats, .. } = &mut *inner;
                 for d in deliveries {
                     let station = &mut stations[d.station];
@@ -397,20 +403,21 @@ impl Medium {
                     // for the lifetime of the run.
                     while station.queue.len() > RX_QUEUE_CAP {
                         station.queue.pop_front();
+                        station.rx_overflows += 1;
                         stats.rx_overflows += 1;
                     }
                 }
             }
-            EventKind::Timer(_) => self.inner.lock().fired.push(event.actor),
+            EventKind::Timer(_) => self.inner.borrow_mut().fired.push(event.actor),
             EventKind::BlackoutStart { generation, .. } => {
-                let mut inner = self.inner.lock();
+                let mut inner = self.inner.borrow_mut();
                 if generation == inner.blackout_gen {
                     inner.in_blackout = true;
                 }
             }
             EventKind::BlackoutEnd { generation, stage } => {
                 let (reschedule, stage_params) = {
-                    let mut inner = self.inner.lock();
+                    let mut inner = self.inner.borrow_mut();
                     if generation != inner.blackout_gen {
                         (false, None)
                     } else {
@@ -456,7 +463,7 @@ impl Medium {
     /// first-fire order.
     pub fn take_fired_actors(&self) -> Vec<usize> {
         self.flush();
-        let fired = std::mem::take(&mut self.inner.lock().fired);
+        let fired = std::mem::take(&mut self.inner.borrow_mut().fired);
         let mut unique = Vec::with_capacity(fired.len());
         for actor in fired {
             if !unique.contains(&actor) {
@@ -475,15 +482,15 @@ impl Medium {
     /// impairment that actually rewrites bytes pays for a private copy.
     fn transmit(&self, from: usize, frame: &FrameBuf) -> SimInstant {
         let bits = (frame.len() as u64) * 8;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let airtime = Duration::from_micros(bits * 1_000_000 / inner.bitrate as u64);
         // The channel is half-duplex: frames serialize in transmit order
         // behind whatever is already in flight. The shared clock does NOT
         // move here — mid-handler transmit order can never skew time.
-        let air_busy = SimInstant::from_micros(self.air_busy_until.load(Ordering::SeqCst));
+        let air_busy = SimInstant::from_micros(self.air_busy_until.get());
         let start = self.clock.now().max(air_busy);
         let arrival = start.plus(airtime);
-        self.air_busy_until.store(arrival.as_micros(), Ordering::SeqCst);
+        self.air_busy_until.set(arrival.as_micros());
 
         let frame_index = inner.stats.frames_sent;
         inner.stats.frames_sent += 1;
@@ -643,15 +650,16 @@ impl Transceiver {
     /// Pops the next received frame whose bytes `wanted` accepts, dropping
     /// every rejected frame queued ahead of it (releasing due deliveries
     /// first). However many frames it drops, this is one flush and one
-    /// lock: the station transmits nothing between rejected frames, so a
+    /// borrow: the station transmits nothing between rejected frames, so a
     /// flush per frame would find nothing new.
     ///
-    /// `wanted` runs under the medium lock and must not touch the medium.
+    /// `wanted` runs while the medium is borrowed and must not touch the
+    /// medium.
     /// A station passes the filter that rejects exactly the frames it
     /// would discard without any side effect.
     pub fn recv_where(&self, wanted: impl Fn(&[u8]) -> bool) -> Option<RxFrame> {
         self.medium.flush();
-        let mut inner = self.medium.inner.lock();
+        let mut inner = self.medium.inner.borrow_mut();
         let queue = &mut inner.stations[self.index].queue;
         while let Some(frame) = queue.pop_front() {
             if wanted(&frame.bytes) {
@@ -664,14 +672,22 @@ impl Transceiver {
     /// Drains every queued frame (releasing due deliveries first).
     pub fn drain(&self) -> Vec<RxFrame> {
         self.medium.flush();
-        self.medium.inner.lock().stations[self.index].queue.drain(..).collect()
+        self.medium.inner.borrow_mut().stations[self.index].queue.drain(..).collect()
     }
 
     /// Number of frames waiting in the receive queue (releasing due
     /// deliveries first).
     pub fn pending(&self) -> usize {
         self.medium.flush();
-        self.medium.inner.lock().stations[self.index].queue.len()
+        self.medium.inner.borrow().stations[self.index].queue.len()
+    }
+
+    /// Frames this station's full rx ring has evicted unread (releasing
+    /// due deliveries first; see [`RX_QUEUE_CAP`]). Summed over every
+    /// station of a medium this is [`MediumStats::rx_overflows`].
+    pub fn rx_overflows(&self) -> u64 {
+        self.medium.flush();
+        self.medium.inner.borrow().stations[self.index].rx_overflows
     }
 
     /// Schedules a cancellable wakeup for this station at `at`. The wakeup
@@ -697,38 +713,38 @@ impl Transceiver {
     /// broadcast medium physically receive everything; the flag is exposed
     /// for tooling that models selective-address filtering itself.)
     pub fn set_promiscuous(&self, on: bool) {
-        self.medium.inner.lock().stations[self.index].promiscuous = on;
+        self.medium.inner.borrow_mut().stations[self.index].promiscuous = on;
     }
 
     /// Whether promiscuous capture is enabled.
     pub fn is_promiscuous(&self) -> bool {
-        self.medium.inner.lock().stations[self.index].promiscuous
+        self.medium.inner.borrow().stations[self.index].promiscuous
     }
 
     /// Powers the radio on or off; a disabled radio receives nothing.
     pub fn set_enabled(&self, on: bool) {
-        self.medium.inner.lock().stations[self.index].enabled = on;
+        self.medium.inner.borrow_mut().stations[self.index].enabled = on;
     }
 
     /// Distance of this radio from the origin, in metres.
     pub fn position_m(&self) -> f64 {
-        self.medium.inner.lock().stations[self.index].position_m
+        self.medium.inner.borrow().stations[self.index].position_m
     }
 
     /// Moves the radio to a new position.
     pub fn set_position_m(&self, position_m: f64) {
-        self.medium.inner.lock().stations[self.index].position_m = position_m;
+        self.medium.inner.borrow_mut().stations[self.index].position_m = position_m;
     }
 
     /// The RF region this radio is tuned to.
     pub fn region(&self) -> Region {
-        self.medium.inner.lock().stations[self.index].region
+        self.medium.inner.borrow().stations[self.index].region
     }
 
     /// Retunes the radio to another region (the attacker's dongle supports
     /// all Z-Wave frequencies).
     pub fn set_region(&self, region: Region) {
-        self.medium.inner.lock().stations[self.index].region = region;
+        self.medium.inner.borrow_mut().stations[self.index].region = region;
     }
 
     /// The medium this radio is attached to.
@@ -1170,5 +1186,28 @@ mod tests {
             assert_eq!(rx.drain().len(), 1);
         }
         assert_eq!(medium.stats().rx_overflows, extra as u64, "no further evictions");
+    }
+
+    #[test]
+    fn rx_overflows_are_attributed_to_the_station_that_shed_them() {
+        let medium = Medium::new(SimClock::new(), 7);
+        let tx = medium.attach(0.0);
+        let serviced = medium.attach(1.0);
+        let idle = medium.attach(2.0);
+        let idle_too = medium.attach(3.0);
+        for i in 0..RX_QUEUE_CAP + 10 {
+            tx.transmit(&(i as u32).to_be_bytes());
+            serviced.drain();
+            if i == 20 {
+                idle_too.drain();
+            }
+        }
+        assert_eq!(serviced.rx_overflows(), 0);
+        assert_eq!(tx.rx_overflows(), 0, "a sender does not hear itself");
+        assert_eq!(idle.rx_overflows(), 10);
+        assert_eq!(idle_too.rx_overflows(), 0, "drained once, never full");
+        let attributed: u64 =
+            [&tx, &serviced, &idle, &idle_too].iter().map(|t| t.rx_overflows()).sum();
+        assert_eq!(attributed, medium.stats().rx_overflows);
     }
 }

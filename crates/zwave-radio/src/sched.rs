@@ -51,12 +51,10 @@
 //! [`crate::medium::Medium`] owns one per simulation and interprets the
 //! payloads (frame deliveries, wakeup timers, blackout window edges).
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::clock::{SimClock, SimInstant};
 use crate::framebuf::FrameBuf;
@@ -67,7 +65,11 @@ use crate::framebuf::FrameBuf;
 /// perturb the simulation, so a scheduler with an observer attached runs
 /// the exact same event sequence as one without (the property the trace
 /// record/replay machinery in `zcover` relies on).
-pub trait EventObserver: Send + Sync {
+///
+/// The kernel releases its state borrow before it calls the observer, so
+/// an observer may hold a clone of the scheduler and query it (`stats`,
+/// `pending_events`, `events_processed`) from inside the callback.
+pub trait EventObserver {
     /// Called once per released event, after it leaves the kernel
     /// (cancelled timers are never reported).
     fn event_dequeued(&self, event: &Event);
@@ -76,11 +78,11 @@ pub trait EventObserver: Send + Sync {
 /// Shared slot holding the (optional) journal observer; all clones of a
 /// [`SimScheduler`] see the same slot.
 #[derive(Clone, Default)]
-struct ObserverSlot(Arc<Mutex<Option<Arc<dyn EventObserver>>>>);
+struct ObserverSlot(Rc<RefCell<Option<Rc<dyn EventObserver>>>>);
 
 impl fmt::Debug for ObserverSlot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = if self.0.lock().is_some() { "attached" } else { "none" };
+        let state = if self.0.borrow().is_some() { "attached" } else { "none" };
         write!(f, "ObserverSlot({state})")
     }
 }
@@ -310,7 +312,8 @@ impl Node {
     }
 }
 
-/// The wheel, arena and counters, guarded by one mutex.
+/// The wheel, arena and counters, shared by every handle through one
+/// `RefCell`.
 #[derive(Debug)]
 struct SchedState {
     /// Intrusive list heads: one per wheel slot, plus the overflow list.
@@ -728,17 +731,25 @@ impl SchedState {
 /// another handle onto the same wheel; each campaign trial owns exactly
 /// one (possibly recycled from the previous trial's via
 /// [`SimScheduler::recycle`]).
+///
+/// The handles share `Rc<RefCell<_>>` state, so a scheduler is `!Send`:
+/// a home and everything in it runs on one thread, and parallelism lives
+/// one level up, across homes.
 #[derive(Debug, Clone)]
 pub struct SimScheduler {
-    state: Arc<Mutex<SchedState>>,
+    state: Rc<RefCell<SchedState>>,
     observer: ObserverSlot,
     clock: SimClock,
-    /// Lock-free lower bound on the earliest live event's instant
-    /// (`u64::MAX` when empty): always `<=` the true earliest, refreshed
-    /// exactly under the state lock. [`SimScheduler::maybe_due`] reads it
-    /// so the hot "is anything due yet?" probe — the overwhelming
-    /// majority of a simulation's kernel queries — skips the mutex.
-    earliest_lb: Arc<AtomicU64>,
+    /// Lower bound on the earliest live event's instant (`u64::MAX` when
+    /// empty): always `<=` the true earliest, refreshed exactly where the
+    /// state is borrowed mutably. [`SimScheduler::maybe_due`] reads it so
+    /// the hot "is anything due yet?" probe — the overwhelming majority of
+    /// a simulation's kernel queries — is one `Cell` load with no borrow.
+    /// It is kept apart from `current_lower_bound()` on purpose: that
+    /// bound can be looser, and a looser probe enters `pop_one` (and so
+    /// collects wheel slots) earlier, which changes the level later
+    /// events are filed at.
+    earliest_lb: Rc<Cell<u64>>,
 }
 
 impl SimScheduler {
@@ -749,10 +760,10 @@ impl SimScheduler {
     /// A fresh, empty scheduler owning (a handle to) `clock`.
     pub fn new(clock: SimClock) -> Self {
         SimScheduler {
-            state: Arc::new(Mutex::new(SchedState::default())),
+            state: Rc::new(RefCell::new(SchedState::default())),
             observer: ObserverSlot::default(),
             clock,
-            earliest_lb: Arc::new(AtomicU64::new(u64::MAX)),
+            earliest_lb: Rc::new(Cell::new(u64::MAX)),
         }
     }
 
@@ -764,21 +775,21 @@ impl SimScheduler {
     /// observer; outstanding handles and tokens from the previous
     /// simulation become inert.
     pub fn recycle(&self, clock: SimClock) -> SimScheduler {
-        self.state.lock().reset();
-        self.earliest_lb.store(u64::MAX, Ordering::SeqCst);
+        self.state.borrow_mut().reset();
+        self.earliest_lb.set(u64::MAX);
         SimScheduler {
-            state: Arc::clone(&self.state),
+            state: Rc::clone(&self.state),
             observer: ObserverSlot::default(),
             clock,
-            earliest_lb: Arc::clone(&self.earliest_lb),
+            earliest_lb: Rc::clone(&self.earliest_lb),
         }
     }
 
     /// Attaches (or, with `None`, detaches) the journal observer notified
     /// of every released event. At most one observer is active at a time;
     /// every clone of this scheduler shares the slot.
-    pub fn set_observer(&self, observer: Option<Arc<dyn EventObserver>>) {
-        *self.observer.0.lock() = observer;
+    pub fn set_observer(&self, observer: Option<Rc<dyn EventObserver>>) {
+        *self.observer.0.borrow_mut() = observer;
     }
 
     /// The virtual clock this scheduler advances.
@@ -790,7 +801,7 @@ impl SimScheduler {
     /// event's sequence number. `at` may lie in the past — the event then
     /// fires at the next release.
     pub fn schedule(&self, at: SimInstant, actor: usize, kind: EventKind) -> u64 {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         let seq = state.next_seq;
         state.next_seq += 1;
         let idx = state.alloc();
@@ -803,13 +814,13 @@ impl SimScheduler {
         }
         state.note_scheduled();
         state.place(idx);
-        self.earliest_lb.fetch_min(at.as_micros(), Ordering::SeqCst);
+        self.earliest_lb.set(self.earliest_lb.get().min(at.as_micros()));
         seq
     }
 
     /// Schedules a cancellable wakeup timer for `actor` at `at`.
     pub fn schedule_timer(&self, at: SimInstant, actor: usize) -> TimerToken {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         let id = state.next_token;
         state.next_token += 1;
         let seq = state.next_seq;
@@ -825,7 +836,7 @@ impl SimScheduler {
         }
         state.note_scheduled();
         state.place(idx);
-        self.earliest_lb.fetch_min(at.as_micros(), Ordering::SeqCst);
+        self.earliest_lb.set(self.earliest_lb.get().min(at.as_micros()));
         token
     }
 
@@ -834,7 +845,7 @@ impl SimScheduler {
     /// fired, already-cancelled, or stale token is a harmless no-op — the
     /// node generation in the token no longer matches.
     pub fn cancel_timer(&self, token: TimerToken) {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         let Some(node) = state.nodes.get(token.node as usize) else { return };
         if node.gen != token.gen {
             return;
@@ -859,7 +870,7 @@ impl SimScheduler {
 
     /// The instant of the earliest live event, if any.
     pub fn next_due(&self) -> Option<SimInstant> {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         loop {
             if let Some(&front) = state.due.front() {
                 if state.nodes[front as usize].cancelled {
@@ -868,41 +879,41 @@ impl SimScheduler {
                     continue;
                 }
                 let at = state.nodes[front as usize].at;
-                self.earliest_lb.store(at, Ordering::SeqCst);
+                self.earliest_lb.set(at);
                 return Some(SimInstant::from_micros(at));
             }
             if state.wheel_live == 0 {
-                self.earliest_lb.store(u64::MAX, Ordering::SeqCst);
+                self.earliest_lb.set(u64::MAX);
                 return None;
             }
             state.collect_step();
         }
     }
 
-    /// Lock-free probe: `false` *guarantees* no live event is due at or
-    /// before `target`; `true` means one might be (confirm under the
-    /// lock via [`SimScheduler::pop_due`] or friends). The bound behind
-    /// this only moves forward under the state lock, so a single-threaded
-    /// simulation never misses a due event — this is the hot-path
-    /// early-out for the "anything due yet?" queries that dominate a
-    /// campaign's kernel traffic.
+    /// Borrow-free probe: `false` *guarantees* no live event is due at or
+    /// before `target`; `true` means one might be (confirm via
+    /// [`SimScheduler::pop_due`] or friends). The bound behind this is
+    /// refreshed by every call that mutates the wheel, so the simulation
+    /// never misses a due event — this is the hot-path early-out for the
+    /// "anything due yet?" queries that dominate a campaign's kernel
+    /// traffic.
     pub fn maybe_due(&self, target: SimInstant) -> bool {
-        self.earliest_lb.load(Ordering::SeqCst) <= target.as_micros()
+        self.earliest_lb.get() <= target.as_micros()
     }
 
     /// Pops the earliest live event with `at <= target`. Events at equal
     /// instants release in scheduling order. An attached [`EventObserver`]
-    /// is notified of the released event (after the internal lock is
-    /// dropped, so observers may query the scheduler).
+    /// is notified of the released event (after the state borrow is
+    /// released, so observers may query the scheduler).
     pub fn pop_due(&self, target: SimInstant) -> Option<Event> {
         let event = {
-            let mut state = self.state.lock();
+            let mut state = self.state.borrow_mut();
             let event = state.pop_one(target.as_micros());
-            self.earliest_lb.store(state.current_lower_bound(), Ordering::SeqCst);
+            self.earliest_lb.set(state.current_lower_bound());
             event
         };
         if let Some(ev) = &event {
-            let observer = self.observer.0.lock().clone();
+            let observer = self.observer.0.borrow().clone();
             if let Some(observer) = observer {
                 observer.event_dequeued(ev);
             }
@@ -911,15 +922,15 @@ impl SimScheduler {
     }
 
     /// Drains every due event sharing the *earliest* due instant `<=
-    /// target` into `out` under one lock acquisition; returns how many
+    /// target` into `out` under one state borrow; returns how many
     /// were appended. Events scheduled *by the caller while applying the
     /// batch* land in the next batch (they carry higher sequence numbers),
     /// so batched dispatch releases exactly the heap's order. The observer
-    /// is notified per event, in order, after the lock drops.
+    /// is notified per event, in order, after the borrow is released.
     pub fn pop_due_batch(&self, target: SimInstant, out: &mut Vec<Event>) -> usize {
         let start = out.len();
         {
-            let mut state = self.state.lock();
+            let mut state = self.state.borrow_mut();
             let target = target.as_micros();
             if let Some(first) = state.pop_one(target) {
                 let instant = first.at.as_micros();
@@ -952,11 +963,11 @@ impl SimScheduler {
                     out.push(event);
                 }
             }
-            self.earliest_lb.store(state.current_lower_bound(), Ordering::SeqCst);
+            self.earliest_lb.set(state.current_lower_bound());
         }
         let popped = out.len() - start;
         if popped > 0 {
-            let observer = self.observer.0.lock().clone();
+            let observer = self.observer.0.borrow().clone();
             if let Some(observer) = observer {
                 for event in &out[start..] {
                     observer.event_dequeued(event);
@@ -968,24 +979,25 @@ impl SimScheduler {
 
     /// Total events released so far (the simulation's event throughput).
     pub fn events_processed(&self) -> u64 {
-        self.state.lock().processed
+        self.state.borrow().processed
     }
 
     /// Number of *live* events currently queued. Cancelled timers leave
     /// the count immediately — there are no tombstones to surface.
     pub fn pending_events(&self) -> usize {
-        self.state.lock().live as usize
+        self.state.borrow().live as usize
     }
 
     /// Occupancy/throughput snapshot (see [`SchedStats`]).
     pub fn stats(&self) -> SchedStats {
-        self.state.lock().stats()
+        self.state.borrow().stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::time::Duration;
 
     fn at(us: u64) -> SimInstant {
@@ -1075,7 +1087,7 @@ mod tests {
             }
         }
         let sched = SimScheduler::new(SimClock::new());
-        let log = Arc::new(Log(Mutex::new(Vec::new())));
+        let log = Rc::new(Log(Mutex::new(Vec::new())));
         sched.set_observer(Some(log.clone()));
         sched.schedule(at(200), 1, EventKind::FrameArrival(Vec::new()));
         let dead = sched.schedule_timer(at(100), 2);
@@ -1087,6 +1099,48 @@ mod tests {
         sched.set_observer(None);
         assert!(sched.pop_due(at(1_000)).is_some());
         assert_eq!(log.0.lock().len(), 1);
+    }
+
+    #[test]
+    fn observers_may_query_the_scheduler_from_inside_the_callback() {
+        // The kernel releases its state borrow before notifying; an
+        // observer that queries its own scheduler must never find it
+        // still borrowed, on either release path.
+        struct Probe {
+            sched: SimScheduler,
+            seen: RefCell<Vec<(usize, u64, usize, u64)>>,
+        }
+        impl EventObserver for Probe {
+            fn event_dequeued(&self, event: &Event) {
+                let stats = self.sched.stats();
+                assert_eq!(stats.processed, self.sched.events_processed());
+                self.seen.borrow_mut().push((
+                    event.actor,
+                    self.sched.events_processed(),
+                    self.sched.pending_events(),
+                    stats.scheduled,
+                ));
+            }
+        }
+        let sched = SimScheduler::new(SimClock::new());
+        let probe = Rc::new(Probe { sched: sched.clone(), seen: RefCell::new(Vec::new()) });
+        sched.set_observer(Some(probe.clone()));
+        for actor in 1..=3 {
+            sched.schedule(at(100), actor, EventKind::FrameArrival(Vec::new()));
+        }
+        sched.schedule(at(200), 4, EventKind::FrameArrival(Vec::new()));
+        assert_eq!(sched.pop_due(at(150)).map(|e| e.actor), Some(1));
+        let mut batch = Vec::new();
+        assert_eq!(sched.pop_due_batch(at(300), &mut batch), 2);
+        // A batch is counted whole before its first notification.
+        assert_eq!(*probe.seen.borrow(), vec![(1, 1, 3, 4), (2, 3, 1, 4), (3, 3, 1, 4)]);
+        // Detaching breaks the observer's cycle back to the scheduler and
+        // stops the journal; the simulation runs on untouched.
+        sched.set_observer(None);
+        batch.clear();
+        assert_eq!(sched.pop_due_batch(at(300), &mut batch), 1);
+        assert_eq!(probe.seen.borrow().len(), 3);
+        assert_eq!(Rc::strong_count(&probe), 1, "the scheduler let go of the observer");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use zcover_suite::zcover::{FuzzConfig, ZCover};
+use zcover_suite::zcover::{FuzzConfig, ImpairmentProfile, ZCover};
 use zcover_suite::zwave_controller::testbed::{DeviceModel, Testbed};
 
 fn campaign(model: DeviceModel, seed: u64) -> zcover_suite::zcover::ZCoverReport {
@@ -47,6 +47,24 @@ fn clean_campaigns_never_hit_the_pump_cap() {
         .expect("fingerprinting succeeds");
     assert!(!report.campaign.findings.is_empty());
     assert_eq!(tb.pump_cap_hits(), 0);
+}
+
+#[test]
+fn protocol_stations_never_overflow_their_rx_rings_on_flat_campaigns() {
+    // Every overflow of a flat campaign belongs to the attacker's own
+    // radios; a protocol station that shed frames would lose traffic the
+    // lost-frame-versus-crash oracle never sees.
+    for profile in [ImpairmentProfile::Clean, ImpairmentProfile::Lossy, ImpairmentProfile::Bursty] {
+        for model in DeviceModel::all() {
+            let mut tb = Testbed::new(model, 5);
+            let mut zc = ZCover::attach(&tb, 70.0);
+            let config = FuzzConfig::full(Duration::from_secs(3600), 5).with_impairment(profile);
+            zc.run_campaign(&mut tb, config).expect("fingerprinting succeeds");
+            for (node, overflows) in tb.station_rx_overflows() {
+                assert_eq!(overflows, 0, "{model:?} {profile}: node {node}");
+            }
+        }
+    }
 }
 
 #[test]
