@@ -44,13 +44,16 @@ pub fn cpu_count() -> usize {
 }
 
 /// Parses `--name N` from `args`, falling back to `default` when the flag
-/// is absent or unparsable.
+/// is absent. An unparsable value exits with status 2 naming the flag and
+/// the value.
 pub fn u64_flag(args: &[String], name: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)) {
+        None => default,
+        Some(value) => value.parse().unwrap_or_else(|_| {
+            eprintln!("invalid {name} value {value:?}; expected a number");
+            std::process::exit(2);
+        }),
+    }
 }
 
 /// Parses `--impairment NAME` from `args` (default: the clean channel),
@@ -144,10 +147,8 @@ mod tests {
 
     #[test]
     fn u64_flag_parses_and_defaults() {
-        let args: Vec<String> =
-            ["--trials", "4", "--workers", "x"].iter().map(|s| s.to_string()).collect();
+        let args: Vec<String> = ["--trials", "4"].iter().map(|s| s.to_string()).collect();
         assert_eq!(u64_flag(&args, "--trials", 1), 4);
-        assert_eq!(u64_flag(&args, "--workers", 2), 2);
         assert_eq!(u64_flag(&args, "--seed", 6), 6);
     }
 

@@ -145,6 +145,14 @@ fn json_output(args: &[String]) -> bool {
     }
 }
 
+/// Exits with status 2 naming `path` when writing an output file failed.
+fn written<E: std::fmt::Display>(path: &str, result: Result<(), E>) {
+    if let Err(e) = result {
+        eprintln!("{path}: {e}");
+        std::process::exit(2);
+    }
+}
+
 /// Reads and decodes a trace file in either format (auto-detected by
 /// content, not extension). Any damage exits with status 2 after naming
 /// the byte offset or line of the fault *and* whatever the CRC-protected
@@ -231,22 +239,21 @@ fn main() {
             );
             let mut tb = Testbed::new(model, seed);
             let report = match flag(&args, "--record") {
-                Some(path) => {
-                    let rec = zcover::record_on(&mut tb, model.idx(), config)
-                        .expect("fingerprinting failed");
-                    rec.trace.save(Path::new(&path)).expect("writing the trace file");
+                Some(path) => zcover::record_on(&mut tb, model.idx(), config).map(|rec| {
+                    written(&path, rec.trace.save(Path::new(&path)));
                     eprintln!("trace recorded to {path} ({} events)", rec.trace.events.len());
                     rec.report
-                }
-                None => ZCover::attach(&tb, 70.0)
-                    .run_campaign(&mut tb, config)
-                    .expect("fingerprinting failed"),
-            };
+                }),
+                None => ZCover::attach(&tb, 70.0).run_campaign(&mut tb, config),
+            }
+            .unwrap_or_else(|e| {
+                eprintln!("fuzz failed: {e}");
+                std::process::exit(1);
+            });
             if let Some(path) = flag(&args, "--report") {
                 let device = model.config();
                 let label = format!("{} {} ({})", device.brand, device.model, model.idx());
-                std::fs::write(&path, zcover::report::to_markdown(&report, &label))
-                    .expect("writing the assessment report");
+                written(&path, std::fs::write(&path, zcover::report::to_markdown(&report, &label)));
                 eprintln!("assessment report written to {path}");
             }
             if json {
@@ -284,7 +291,7 @@ fn main() {
                 println!("{text}");
             }
             if let Some(path) = flag(&args, "--log") {
-                std::fs::write(&path, &text).expect("writing the bug log");
+                written(&path, std::fs::write(&path, &text));
                 eprintln!("bug log written to {path}");
             }
         }
@@ -329,16 +336,19 @@ fn main() {
                     spec.trial_path(trials - 1).display()
                 );
             }
-            if json {
-                println!("{}", zcover::report::summary_to_json(&summary));
+            let write_log = || {
                 if let Some(path) = flag(&args, "--log") {
                     let mut log = BugLog::new();
                     for finding in &summary.unique_findings {
                         log.absorb(finding);
                     }
-                    std::fs::write(&path, log.to_text()).expect("writing the bug log");
+                    written(&path, std::fs::write(&path, log.to_text()));
                     eprintln!("merged bug log written to {path}");
                 }
+            };
+            if json {
+                println!("{}", zcover::report::summary_to_json(&summary));
+                write_log();
                 return;
             }
             println!(
@@ -377,14 +387,7 @@ fn main() {
                     .unwrap_or_else(|| "-".to_string());
                 println!("  {bug:02}: {hits}/{} (mean time to find {mean_t})", summary.trials());
             }
-            if let Some(path) = flag(&args, "--log") {
-                let mut log = BugLog::new();
-                for finding in &summary.unique_findings {
-                    log.absorb(finding);
-                }
-                std::fs::write(&path, log.to_text()).expect("writing the bug log");
-                eprintln!("merged bug log written to {path}");
-            }
+            write_log();
         }
         "sweep" => {
             let homes: u64 = num_flag(&args, "--homes", 64);
@@ -529,10 +532,7 @@ fn main() {
                         // The output extension picks the format, so this
                         // converts in both directions (jsonl ↔ zct).
                         Some(out) => {
-                            trace.save(Path::new(&out)).unwrap_or_else(|e| {
-                                eprintln!("{out}: {e}");
-                                std::process::exit(2);
-                            });
+                            written(&out, trace.save(Path::new(&out)));
                             eprintln!("{path} ({} events) exported to {out}", trace.events.len());
                         }
                         None => print!("{}", trace.to_jsonl()),
@@ -575,7 +575,7 @@ fn main() {
             let xml = zwave_protocol::registry::xml::to_xml(zwave_protocol::Registry::global());
             match flag(&args, "--out") {
                 Some(path) => {
-                    std::fs::write(&path, &xml).expect("writing the XML file");
+                    written(&path, std::fs::write(&path, &xml));
                     eprintln!(
                         "{} classes exported to {path}",
                         zwave_protocol::Registry::global().len()

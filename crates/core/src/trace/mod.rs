@@ -22,7 +22,7 @@
 //! - **ZCT binary** (`.zct`): the `trace-format` crate's compact
 //!   varint/delta encoding with a seekable block index — roughly an order
 //!   of magnitude smaller and several times faster to write and decode
-//!   (see `BENCH_trace.json`). Mapping lives in [`binary`].
+//!   (see EXPERIMENTS.md "Trace at scale"). Mapping lives in [`binary`].
 //!
 //! [`Trace::save`] picks the format from the file extension;
 //! [`Trace::load`] auto-detects from the leading magic, so `zcover

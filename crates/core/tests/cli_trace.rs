@@ -1,8 +1,9 @@
 //! End-to-end CLI tests for the trace subcommands: `zcover replay` must
 //! fail malformed input with exit code 2 and a byte-offset locus (plus
 //! whatever the CRC-protected header still says), never a panic; `zcover
-//! trace export` must convert between the formats losslessly. Bad flags
-//! and failed sweeps or trials must exit with a message, never a panic.
+//! trace export` must convert between the formats losslessly. Bad flags,
+//! failed campaigns, sweeps or trials, and unwritable output paths must
+//! exit with a message, never a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -302,4 +303,59 @@ fn a_failing_trial_exits_1_naming_the_trial() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.stdout.is_empty(), "failed trials printed a summary");
+}
+
+#[test]
+fn a_failing_fuzz_campaign_exits_1_with_or_without_record() {
+    // The seed trial 66 of `trials --seed 42` runs: D4 gets no NIF reply
+    // under the lossy profile, so the active scan fails before fuzzing.
+    let dir = tmp_dir("fuzzfail");
+    let trace = dir.join("trace.zct");
+    let base = [
+        "fuzz",
+        "--device",
+        "D4",
+        "--impairment",
+        "lossy",
+        "--hours",
+        "0.005",
+        "--seed",
+        "18202012130042080084",
+    ];
+    let recorded = [&base[..], &["--record", trace.to_str().expect("utf-8 path")]].concat();
+    for args in [&base[..], &recorded[..]] {
+        let out = zcover(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("fuzz failed: controller did not answer the NIF request"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(out.stdout.is_empty(), "a failed campaign printed a report");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unwritable_output_paths_exit_2_naming_the_path() {
+    // A path under a regular file can never be created.
+    let dir = tmp_dir("unwritable");
+    let file = dir.join("plain");
+    std::fs::write(&file, b"").expect("temp file");
+    let under = |name: &str| file.join(name).to_str().expect("utf-8 path").to_string();
+    let (log, trace) = (under("bugs.txt"), under("trace.zct"));
+    let fuzz = ["fuzz", "--device", "D1", "--hours", "0.005", "--seed", "11"];
+    for (args, path) in [
+        ([&fuzz[..], &["--log", &log]].concat(), &log),
+        ([&fuzz[..], &["--record", &trace]].concat(), &trace),
+        (vec!["trials", "--hours", "0.005", "--trials", "1", "--log", &log], &log),
+    ] {
+        let out = zcover(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(path.as_str()), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

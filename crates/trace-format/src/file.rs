@@ -110,8 +110,8 @@ pub struct BlockEntry {
 /// Streaming encoder: push records, get the finished file bytes. Blocks
 /// are flushed every `block_size` records; the intern table and index
 /// grow as a pure function of the record stream, so two identical
-/// streams produce byte-identical files (the determinism assert in
-/// `bench_trace` pins this end to end).
+/// streams produce byte-identical files (`tests/trace_binary.rs` pins
+/// this end to end on every golden trace).
 #[derive(Debug)]
 pub struct ZctWriter {
     buf: Vec<u8>,

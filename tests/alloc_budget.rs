@@ -9,13 +9,22 @@
 //! this budget is the regression tripwire for anyone reintroducing a
 //! per-receiver copy.
 //!
+//! A second phase holds the whole fuzz iteration to a per-packet budget:
+//! twenty complete D1 campaigns must inject exactly the packets they always
+//! have, and spend at most 47.9 heap allocations per packet — 1.2x fewer
+//! than the 57.49 the clone-per-receiver frame path and per-call crypto key
+//! expansion spent on this same loop.
+//!
 //! This file deliberately holds a single test: the allocation counter is
 //! process-global, and a second test running on a sibling thread would
 //! perturb the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
+use zcover_suite::zcover::{FuzzConfig, ZCover};
+use zcover_suite::zwave_controller::testbed::{DeviceModel, Testbed};
 use zcover_suite::zwave_radio::{Medium, SimClock};
 
 struct CountingAlloc;
@@ -52,6 +61,21 @@ const PER_DELIVERY_BUDGET: f64 = 2.0;
 const RECEIVERS: u64 = 8;
 const ROUNDS: u64 = 200;
 
+/// Heap allocations per injected packet a full campaign may spend.
+const PER_PACKET_BUDGET: f64 = 47.9;
+
+/// Packets the twenty campaigns inject: any change here moved the fuzzer.
+const CAMPAIGN_PACKETS: u64 = 182_364;
+
+/// One 2 h ZCover campaign on a D1 testbed; returns the packets it
+/// injected.
+fn run_campaign(seed: u64) -> u64 {
+    let mut tb = Testbed::new(DeviceModel::D1, seed);
+    let config = FuzzConfig::full(Duration::from_secs(2 * 3600), seed);
+    let report = ZCover::attach(&tb, 70.0).run_campaign(&mut tb, config).expect("D1 fingerprints");
+    report.campaign.packets_sent
+}
+
 #[test]
 fn steady_state_allocations_per_delivered_frame() {
     let medium = Medium::new(SimClock::new(), 7);
@@ -84,5 +108,19 @@ fn steady_state_allocations_per_delivered_frame() {
         "steady-state frame path allocates {per_delivery:.2} heap blocks per delivered frame \
          ({spent} allocations / {delivered} deliveries); budget is {PER_DELIVERY_BUDGET}. \
          Did a per-receiver copy sneak back into the broadcast fan-out?"
+    );
+
+    // Campaign phase, after a warm-up campaign off the count.
+    run_campaign(99);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let packets: u64 = (1..=20).map(run_campaign).sum();
+    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(packets, CAMPAIGN_PACKETS, "the campaigns injected a different packet count");
+    let per_packet = spent as f64 / packets as f64;
+    assert!(
+        per_packet <= PER_PACKET_BUDGET,
+        "a campaign allocates {per_packet:.2} heap blocks per injected packet \
+         ({spent} allocations / {packets} packets); budget is {PER_PACKET_BUDGET}"
     );
 }

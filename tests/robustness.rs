@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use zcover_suite::zcover::{Dongle, FuzzConfig, PingOutcome, ZCover};
-use zcover_suite::zwave_controller::testbed::{DeviceModel, Testbed};
+use zcover_suite::zwave_controller::testbed::{DeviceModel, Testbed, SWITCH_NODE};
 use zcover_suite::zwave_protocol::NodeId;
 use zcover_suite::zwave_radio::{
     ImpairmentProfile, ImpairmentSchedule, ImpairmentStage, NoiseModel,
@@ -186,4 +186,53 @@ fn campaign_under_the_adversarial_profile_degrades_gracefully() {
     // The channel accounting shows the profile actually bit.
     let c = report.campaign.counters;
     assert!(c.losses > 0 && c.truncations > 0 && c.blackout_drops > 0);
+}
+
+#[test]
+fn recovery_storm_hops_event_to_event_on_the_adversarial_channel() {
+    // Thirty outage triggers (bugs #7, #8, #9, #11, #15 each park D1 in a
+    // 59-68 s Busy outage), each followed by a liveness wait that hops
+    // the clock straight to the next scheduled event instead of stepping
+    // it. Every outage must be seen to end, and the idle time between
+    // hops must cost no frames or events: the counts and the virtual time
+    // the storm ends at are exact.
+    const TRIGGERS: [&[u8]; 5] = [
+        &[0x5A, 0x01, 0x00],
+        &[0x59, 0x03, 0x00, 0x00],
+        &[0x7A, 0x01, 0x00],
+        &[0x59, 0x05, 0x00, 0x00],
+        &[0x7A, 0x03, 0x00],
+    ];
+    let mut tb = Testbed::new(DeviceModel::D1, 42);
+    tb.medium().set_impairment(ImpairmentProfile::Adversarial.schedule());
+    let mut dongle = Dongle::attach(tb.medium(), 70.0);
+    let home = tb.controller().home_id();
+    let (src, dst) = (SWITCH_NODE, NodeId(0x01));
+    let clock = tb.clock().clone();
+    let mut recoveries = 0;
+    for trigger in TRIGGERS.iter().cycle().take(30) {
+        dongle.inject_apl(home, src, dst, trigger.to_vec());
+        tb.pump();
+        let deadline = clock.now().plus(Duration::from_secs(300));
+        'wait: loop {
+            let hopped = tb.medium().advance_to_next_wakeup(deadline);
+            // Three pings per hop, as the fuzzer retries: one is not
+            // loss-tolerant on this channel.
+            for _ in 0..3 {
+                dongle.send_ping(home, src, dst);
+                tb.pump();
+                if dongle.check_ping(dst) == PingOutcome::Alive {
+                    recoveries += 1;
+                    break 'wait;
+                }
+            }
+            if !hopped {
+                break;
+            }
+        }
+    }
+    let frames = tb.medium().stats().frames_sent;
+    let events = tb.medium().scheduler().events_processed();
+    assert_eq!((recoveries, frames, events), (30, 132, 161));
+    assert_eq!(clock.now().as_micros(), 3_277_045_400);
 }
