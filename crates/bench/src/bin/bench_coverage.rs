@@ -32,6 +32,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use zcover::cli::{probe, Command};
 use zcover::{CampaignExecutor, FuzzConfig, TrialSummary};
 use zcover_bench::CampaignSpec;
 use zwave_controller::testbed::{DeviceModel, Testbed};
@@ -144,21 +145,19 @@ fn mode_json(summary: &TrialSummary, config_name: &str) -> String {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    if smoke && !args.iter().any(|a| a == "--trials") {
-        args.extend(["--trials".to_string(), "2".to_string()]);
-    }
-    let mut spec = CampaignSpec::from_args(&args, 1, 5);
-    if smoke && !args.iter().any(|a| a == "--paper") {
+    let flags = &[
+        "--seed N --trials N --workers N --paper --impairment clean|lossy|bursty|adversarial",
+        "--smoke --out FILE",
+    ];
+    let args = Command { name: "bench_coverage", flags }.env_args();
+    let smoke = args.switch("--smoke");
+    let mut spec =
+        CampaignSpec::from_cli(&args, 1, if smoke { 2 } else { 5 }).unwrap_or_else(|e| e.exit());
+    if smoke && !args.switch("--paper") {
         spec.budget = Duration::from_secs(1800);
     }
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_coverage.json".to_string());
+    let out = args.get("--out").unwrap_or("BENCH_coverage.json");
+    probe(out).unwrap_or_else(|e| e.exit());
 
     eprintln!("{}", spec.banner("per mode (zcover/coverage/vfuzz) on D1"));
     let summaries: Vec<(&str, &str, TrialSummary)> = MODES
@@ -226,7 +225,7 @@ fn main() {
         modes_json.join(",\n"),
         per_bug.join(",\n")
     );
-    std::fs::write(&out, &json).expect("writing the benchmark record");
+    std::fs::write(out, &json).expect("writing the benchmark record");
     eprintln!("wrote {out}");
     println!(
         "coverage median <= zcover median on {wins}/{compared} bugs | \

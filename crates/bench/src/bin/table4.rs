@@ -1,11 +1,12 @@
 //! Regenerates Table IV: passive/active fingerprinting and
-//! unknown-property discovery for every controller. Takes the shared
-//! campaign flags (`--seed N`; the budget/trial/worker knobs are accepted
-//! but fingerprinting is a single deterministic pass per device).
+//! unknown-property discovery for every controller. Fingerprinting is a
+//! single deterministic pass per device, so the one flag is `--seed N`.
+
+use zcover::cli::Command;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let spec = zcover_bench::CampaignSpec::from_args(&args, 77, 1);
-    let (_results, text) = zcover_bench::experiments::table4(spec.seed);
+    let args = Command { name: "table4", flags: &["--seed N"] }.env_args();
+    let seed = args.num("--seed", 77).unwrap_or_else(|e| e.exit());
+    let (_results, text) = zcover_bench::experiments::table4(seed);
     println!("{text}");
 }

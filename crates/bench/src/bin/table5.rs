@@ -4,9 +4,13 @@
 //! `--paper` for the paper's 24-hour runs (the VFuzz generated-coverage
 //! column needs the long run to reach 256/256).
 
+use zcover::cli::Command;
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let spec = zcover_bench::CampaignSpec::from_args(&args, 99, 1);
+    let flags =
+        &["--seed N --trials N --workers N --paper --impairment clean|lossy|bursty|adversarial"];
+    let args = Command { name: "table5", flags }.env_args();
+    let spec = zcover_bench::CampaignSpec::from_cli(&args, 99, 1).unwrap_or_else(|e| e.exit());
     eprintln!("{}", spec.banner("per fuzzer on each of D1-D5"));
     let (_results, text) = zcover_bench::experiments::table5(
         spec.budget,

@@ -62,17 +62,10 @@ pub struct Table3Result {
 /// Runs ZCover against every controller and aggregates the Table III rows.
 /// `fuzz` is the per-device campaign budget; each device runs `trials`
 /// independently-seeded campaigns through the deterministic executor
-/// across `workers` threads (the result is identical for any worker
-/// count).
-pub fn table3(fuzz: Duration, trials: u64, workers: usize) -> (Table3Result, String) {
-    table3_with_profile(fuzz, trials, workers, ImpairmentProfile::Clean)
-}
-
-/// [`table3`] with a named channel-impairment profile applied to every
-/// campaign — the adversarial-channel extension of EXPERIMENTS.md. The
-/// result is still deterministic per (campaign seed, profile) and
-/// identical for any worker count.
-pub fn table3_with_profile(
+/// across `workers` threads on a `profile` channel (the adversarial-channel
+/// extension of EXPERIMENTS.md). The result is deterministic per (campaign
+/// seed, profile) and identical for any worker count.
+pub fn table3(
     fuzz: Duration,
     trials: u64,
     workers: usize,

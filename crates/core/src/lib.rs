@@ -40,6 +40,7 @@
 
 pub mod active;
 pub mod buglog;
+pub mod cli;
 pub mod corpus;
 pub mod discovery;
 pub mod dongle;

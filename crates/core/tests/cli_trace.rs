@@ -5,6 +5,7 @@
 //! failed campaigns, sweeps or trials, and unwritable output paths must
 //! exit with a message, never a panic.
 
+use std::os::unix::ffi::OsStrExt;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -179,11 +180,13 @@ fn trace_stats_reports_cross_trial_identity() {
     assert!(stdout.contains("cross-trial divergence"), "{stdout}");
     assert!(stdout.contains(": identical"), "{stdout}");
 
-    let out = zcover(&["trace", "stats", zct.to_str().unwrap(), "--format", "json"]);
+    // Operands may follow the flags: both traces are reported.
+    let (zct, twin) = (zct.to_str().unwrap(), twin.to_str().unwrap());
+    let out = zcover(&["trace", "stats", zct, "--format", "json", twin]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with('['), "{stdout}");
-    assert!(stdout.contains("\"per_cmdcl\""), "{stdout}");
+    assert_eq!(stdout.matches("\"per_cmdcl\"").count(), 2, "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -218,7 +221,8 @@ fn fuzz_bug_log_carries_the_packets_each_finding_took() {
 
 #[test]
 fn unparsable_numeric_flags_exit_2_naming_flag_and_value() {
-    // A typo must not silently run a default-sized campaign.
+    // A typo must not silently run a default-sized campaign. Rows without
+    // a value name the mistake instead.
     for (args, flag, value) in [
         (&["fuzz", "--device", "D1", "--hours", "abc"][..], "--hours", "abc"),
         (&["fuzz", "--device", "D1", "--hours", "0.001", "--seed", "xyz"][..], "--seed", "xyz"),
@@ -226,6 +230,42 @@ fn unparsable_numeric_flags_exit_2_naming_flag_and_value() {
         (&["sweep", "--homes", "1", "--hours", "0.001", "--workers", "-3"][..], "--workers", "-3"),
         (&["sweep", "--homes", "8x"][..], "--homes", "8x"),
         (&["sweep", "--homes", "1", "--shard-size", "1.5"][..], "--shard-size", "1.5"),
+        (&["trials", "--hours", "0.001", "--trials", "0"][..], "--trials", "\"0\""),
+        (
+            &["sweep", "--homes", "1", "--hours", "0.001", "--workers", "0"][..],
+            "--workers",
+            "\"0\"",
+        ),
+        (
+            &["sweep", "--homes", "1", "--hours", "0.001", "--shard-size", "0"][..],
+            "--shard-size",
+            "\"0\"",
+        ),
+        (
+            &["fuzz", "--device", "D1", "--hours", "0.001", "--format", "yaml"][..],
+            "--format",
+            "yaml",
+        ),
+        (&["fuzz", "--device", "D1", "--hourz", "0.5"][..], "--hourz", "unknown flag"),
+        (&["fuzz", "--device", "D1", "--hours", "0.001", "--seed"][..], "--seed", "needs a value"),
+        (&["fuzz", "--hours", "0.001", "--hours", "0.002"][..], "--hours", "more than once"),
+        (
+            &["fuzz", "--device", "D1", "--hours", "0.001", "D2"][..],
+            "\"D2\"",
+            "unexpected argument",
+        ),
+        (&["fingerprint", "--bogus", "1"][..], "--bogus", "unknown flag"),
+        (&["discover", "--hours", "1"][..], "--hours", "unknown flag"),
+        (
+            &["trials", "--hours", "0.001", "--trials", "1", "--homes", "2"][..],
+            "--homes",
+            "unknown flag",
+        ),
+        (&["sweep", "--homes", "1", "--hours", "0.001", "--log", "x"][..], "--log", "unknown flag"),
+        (&["replay", "trace.zct", "--trace", "x"][..], "--trace", "unknown flag"),
+        (&["trace", "export", "trace.zct", "--format", "json"][..], "--format", "unknown flag"),
+        (&["trace", "stats", "trace.zct", "--out", "x"][..], "--out", "unknown flag"),
+        (&["export-spec", "--seed", "1"][..], "--seed", "unknown flag"),
     ] {
         let out = zcover(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} did not exit 2");
@@ -233,6 +273,15 @@ fn unparsable_numeric_flags_exit_2_naming_flag_and_value() {
         assert!(stderr.contains(flag) && stderr.contains(value), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
+    // An argument that is not UTF-8 is an error too, not a panic.
+    let out = Command::new(env!("CARGO_BIN_EXE_zcover"))
+        .args(["fuzz", "--log"])
+        .arg(std::ffi::OsStr::from_bytes(b"\xff.txt"))
+        .output()
+        .expect("zcover runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("is not UTF-8") && out.stdout.is_empty(), "{stderr}");
 }
 
 #[test]
@@ -264,10 +313,11 @@ fn a_failing_sweep_home_exits_1_naming_the_home() {
 fn out_of_range_hours_exit_2_naming_flag_and_value() {
     // Each parses as an f64 but is no campaign budget: negative, not a
     // number, infinite, or more microseconds than the simulated clock holds.
-    for command in ["fuzz", "trials", "sweep"] {
+    for (command, size) in
+        [("fuzz", &[][..]), ("trials", &["--trials", "1"]), ("sweep", &["--homes", "1"])]
+    {
         for value in ["-1", "nan", "inf", "1e20"] {
-            let args = [command, "--hours", value, "--homes", "1", "--trials", "1"];
-            let out = zcover(if command == "fuzz" { &args[..3] } else { &args[..] });
+            let out = zcover(&[&[command, "--hours", value][..], size].concat());
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(2), "{command} --hours {value}: {stderr}");
             assert!(
@@ -344,18 +394,26 @@ fn unwritable_output_paths_exit_2_naming_the_path() {
     let file = dir.join("plain");
     std::fs::write(&file, b"").expect("temp file");
     let under = |name: &str| file.join(name).to_str().expect("utf-8 path").to_string();
-    let (log, trace) = (under("bugs.txt"), under("trace.zct"));
+    let (log, trace, stem, traces) =
+        (under("bugs.txt"), under("trace.zct"), under("trace"), under("traces"));
     let fuzz = ["fuzz", "--device", "D1", "--hours", "0.005", "--seed", "11"];
+    let trials = ["trials", "--hours", "0.005", "--trials", "1"];
     for (args, path) in [
         ([&fuzz[..], &["--log", &log]].concat(), &log),
         ([&fuzz[..], &["--record", &trace]].concat(), &trace),
-        (vec!["trials", "--hours", "0.005", "--trials", "1", "--log", &log], &log),
+        ([&fuzz[..], &["--report", &log]].concat(), &log),
+        ([&trials[..], &["--log", &log]].concat(), &log),
+        ([&trials[..], &["--record", &trace]].concat(), &stem),
+        (vec!["sweep", "--homes", "1", "--hours", "0.005", "--record-dir", &traces], &traces),
     ] {
         let out = zcover(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(path.as_str()), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
+        // The path is checked before any work: no banner, no report.
+        assert!(out.stdout.is_empty(), "{args:?} wrote a report");
+        assert!(!stderr.contains(" ..."), "{args:?} started: {stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

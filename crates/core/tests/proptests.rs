@@ -2,11 +2,37 @@
 
 use proptest::prelude::*;
 
+use zcover::cli::Command;
 use zcover::minimize::minimize;
 use zcover::mutation::{MutationOp, Mutator};
+use zwave_controller::testbed::DeviceModel;
 use zwave_protocol::apl::{ApplicationPayload, FieldPosition};
 use zwave_protocol::registry::Registry;
 use zwave_protocol::CommandClassId;
+
+/// The flags the command-line property declares.
+const DECLARED: &[&str] =
+    &["--seed N --hours H --workers N --device D1..D7", "--format text|json --paper --out FILE"];
+
+/// Declared flags, junk flags and junk values the command lines are drawn from.
+const WORDS: [&str; 16] = [
+    "--seed",
+    "--hours",
+    "--workers",
+    "--device",
+    "--format",
+    "--paper",
+    "--out",
+    "--bogus",
+    "--",
+    "-3",
+    "nan",
+    "1e20",
+    "D9",
+    "json",
+    "0",
+    "",
+];
 
 proptest! {
     /// Mutated payloads always re-encode to parseable byte strings and
@@ -123,6 +149,44 @@ proptest! {
             let encoded = payload.encode();
             prop_assert!(encoded.len() >= 2 && encoded.len() <= 10);
             prop_assert_eq!(ApplicationPayload::parse(&encoded).unwrap(), payload);
+        }
+    }
+
+    /// Random command lines mixing declared flags, junk flags and junk
+    /// values never panic the parser or its getters, and an undeclared
+    /// `--x` anywhere is the error, named.
+    #[test]
+    fn junk_command_lines_are_errors_not_panics(
+        words in proptest::collection::vec((0usize..20, any::<u64>()), 0..10),
+        operands in any::<bool>(),
+    ) {
+        let argv: Vec<String> = words
+            .iter()
+            .map(|&(i, n)| match i {
+                i if i < WORDS.len() => WORDS[i].to_string(),
+                16 => n.to_string(),
+                17 => format!("--x{n}"),
+                _ => format!("{}", n as f64 / 7.0),
+            })
+            .collect();
+        let command = Command { name: if operands { "t <x>..." } else { "t" }, flags: DECLARED };
+        let declared = |a: &str| DECLARED.iter().flat_map(|g| g.split_whitespace()).any(|w| w == a);
+        let undeclared = argv.iter().find(|a| a.starts_with("--") && !declared(a));
+        match command.parse(&argv) {
+            Ok(args) => {
+                prop_assert!(undeclared.is_none(), "{argv:?} parsed");
+                prop_assert!(operands || args.operands().is_empty(), "{argv:?}");
+                let _ = args.num::<u64>("--seed", 42);
+                let _ = args.count::<usize>("--workers", 1);
+                let _ = args.hours(1.0);
+                let _ = args.choice("--device", DeviceModel::D1, DeviceModel::parse);
+                let _ = args.one_of("--format", "text");
+            }
+            Err(e) => {
+                if let Some(flag) = undeclared {
+                    prop_assert_eq!(e.0, format!("unknown flag {flag}"));
+                }
+            }
         }
     }
 }
