@@ -39,15 +39,13 @@ impl ActiveScanner {
 
         // 1. Dynamic device interrogation: a Basic Get device-state probe.
         dongle.flush();
-        dongle.inject_apl(scan.home_id, src, scan.controller, vec![0x20, 0x02]);
+        dongle.inject_apl(scan.home_id, src, scan.controller, [0x20, 0x02]);
         target.pump();
         dongle.wait_for_responses();
         target.pump();
-        let interrogation_ok = dongle
-            .drain()
-            .iter()
-            .filter_map(|f| MacFrame::decode(&f.bytes).ok())
-            .any(|m| !m.is_ack() && m.src() == scan.controller);
+        let interrogation_ok = dongle.drain_any(|bytes| {
+            MacFrame::decode(bytes).is_ok_and(|m| !m.is_ack() && m.src() == scan.controller)
+        });
 
         // 2. Listed property querying via a NIF request (retransmitted a
         //    few times so channel loss cannot blank the fingerprint), then

@@ -101,14 +101,15 @@ impl UnknownDiscovery {
             // testing survives an imperfect link).
             for _attempt in 0..5 {
                 dongle.flush();
-                dongle.inject_apl(scan.home_id, src, scan.controller, vec![cc]);
+                dongle.inject_apl(scan.home_id, src, scan.controller, [cc]);
                 target.pump();
                 dongle.wait_for_responses();
                 target.pump();
-                let answered =
-                    dongle.drain().iter().filter_map(|f| MacFrame::decode(&f.bytes).ok()).any(
-                        |m| m.src() == scan.controller && !m.is_ack() && !m.payload().is_empty(),
-                    );
+                let answered = dongle.drain_any(|bytes| {
+                    MacFrame::decode(bytes).is_ok_and(|m| {
+                        m.src() == scan.controller && !m.is_ack() && !m.payload().is_empty()
+                    })
+                });
                 if answered {
                     validated.insert(cc);
                     break;

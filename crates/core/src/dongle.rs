@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use zwave_protocol::frame::{FrameControl, HeaderType};
 use zwave_protocol::{ChecksumKind, HomeId, MacFrame, NodeId, RoutingHeader};
-use zwave_radio::{FrameBuf, FrameBufPool, Medium, RxFrame, SimClock, Transceiver};
+use zwave_radio::{FrameBuf, Medium, RxFrame, SimClock, Transceiver};
 
 /// Default time the dongle waits for a device response after injecting.
 /// Chosen so the paper's observed campaign rate (~800 packets in ~600 s,
@@ -22,14 +22,15 @@ pub struct Dongle {
     response_wait: Duration,
     frames_injected: u64,
     retransmissions: u64,
-    /// Repeater chain (forwarding order) prepended to every injected APL
-    /// frame as a source-routing header. `None` = direct range.
-    route: Option<Vec<NodeId>>,
+    /// Source-routing header (repeater chain in forwarding order)
+    /// prepended to every injected APL frame. `None` = direct range.
+    route: Option<RoutingHeader>,
+    /// The last frame injected, kept for byte-identical retransmission;
+    /// `None` before the first injection and after a refused one.
     last_frame: Option<FrameBuf>,
-    /// Scratch buffers for frame encoding: each injection reuses a retired
-    /// allocation once the receivers have dropped their clones, so the
-    /// fuzzing hot loop stops allocating a fresh `Vec` per trial packet.
-    pool: FrameBufPool,
+    /// Reused scratch for assembling a routed payload (routing header,
+    /// then the APL) before it is copied into the frame.
+    scratch: Vec<u8>,
 }
 
 /// Outcome of a liveness ping.
@@ -56,7 +57,7 @@ impl Dongle {
             retransmissions: 0,
             route: None,
             last_frame: None,
-            pool: FrameBufPool::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -86,56 +87,67 @@ impl Dongle {
     /// frame must carry a source-routing header naming live repeaters —
     /// exactly what a real attacker learns by sniffing routed traffic.
     /// An empty chain is normalised to `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a chain of more than four repeaters, which no routing
+    /// header can carry.
     pub fn set_route(&mut self, route: Option<Vec<NodeId>>) {
-        self.route = route.filter(|r| !r.is_empty());
+        self.route = route.filter(|r| !r.is_empty()).map(RoutingHeader::outbound);
     }
 
     /// The currently configured injection route, if any.
     pub fn route(&self) -> Option<&[NodeId]> {
-        self.route.as_deref()
+        self.route.as_ref().map(|header| header.repeaters.as_slice())
     }
 
     /// Crafts and injects an application payload as `src` → `dst` with a
     /// valid checksum (ZCover always sends MAC-valid frames; only the APL
     /// content is fuzzed, per Table I).
-    pub fn inject_apl(&mut self, home_id: HomeId, src: NodeId, dst: NodeId, payload: Vec<u8>) {
-        self.seq = (self.seq + 1) & 0x0F;
-        let mut fc = FrameControl::singlecast(self.seq);
-        fc.sequence = self.seq;
+    ///
+    /// A payload too large for one MAC frame is refused: nothing goes on
+    /// the air, the sequence number does not move, and there is nothing
+    /// left for [`Dongle::retransmit_last`] to resend.
+    pub fn inject_apl(
+        &mut self,
+        home_id: HomeId,
+        src: NodeId,
+        dst: NodeId,
+        payload: impl AsRef<[u8]>,
+    ) {
+        let seq = (self.seq + 1) & 0x0F;
+        let mut fc = FrameControl::singlecast(seq);
+        fc.sequence = seq;
         let payload = match &self.route {
-            None => payload,
-            Some(route) => {
+            None => payload.as_ref(),
+            Some(header) => {
                 // Ride the mesh: routing header first, fuzzed APL after.
                 fc.header_type = HeaderType::Routed;
-                let mut routed = RoutingHeader::outbound(route.clone()).encode();
-                routed.extend_from_slice(&payload);
-                routed
+                header.encode_into(&mut self.scratch);
+                self.scratch.extend_from_slice(payload.as_ref());
+                &self.scratch
             }
         };
         let Ok(frame) = MacFrame::try_new(home_id, src, fc, dst, payload, ChecksumKind::Cs8) else {
-            return; // oversized mutants are silently clamped by the caller
+            // Oversized mutants are silently clamped by the caller.
+            self.last_frame = None;
+            return;
         };
-        let mut buf = self.pool.acquire();
-        frame.encode_into(buf.make_mut());
-        self.send_buf(buf);
+        self.seq = seq;
+        self.send_buf(frame.to_buf());
     }
 
     /// Injects raw bytes verbatim, with no routing header even when a
     /// route is set (`FuzzMode::Vfuzz`'s MAC mutants and replay attacks
     /// use this).
     pub fn inject_raw(&mut self, bytes: &[u8]) {
-        let mut buf = self.pool.acquire();
-        buf.make_mut().extend_from_slice(bytes);
-        self.send_buf(buf);
+        self.send_buf(FrameBuf::from_slice(bytes));
     }
 
-    /// Transmits `buf`, retires the previously held frame's allocation to
-    /// the scratch pool, and keeps `buf` for byte-identical retransmission.
+    /// Transmits `buf` and keeps it for byte-identical retransmission.
     fn send_buf(&mut self, buf: FrameBuf) {
         self.radio.transmit_buf(&buf);
-        if let Some(old) = self.last_frame.replace(buf) {
-            self.pool.retire(old);
-        }
+        self.last_frame = Some(buf);
         self.frames_injected += 1;
     }
 
@@ -163,9 +175,16 @@ impl Dongle {
         self.radio.drain()
     }
 
+    /// Drops every frame captured so far and reports whether any of them
+    /// satisfies `matches` (tried in capture order, up to the first hit),
+    /// without collecting them.
+    pub fn drain_any(&self, matches: impl FnMut(&[u8]) -> bool) -> bool {
+        self.radio.drain_any(matches)
+    }
+
     /// Drops any stale captures.
     pub fn flush(&self) {
-        let _ = self.radio.drain();
+        self.drain_any(|_| false);
     }
 
     /// Sends a NOP liveness ping spoofed as `src` and reports whether the
@@ -174,14 +193,14 @@ impl Dongle {
     /// probe is split: [`Dongle::send_ping`] then [`Dongle::check_ping`].
     pub fn send_ping(&mut self, home_id: HomeId, src: NodeId, dst: NodeId) {
         self.flush();
-        self.inject_apl(home_id, src, dst, vec![0x00]);
+        self.inject_apl(home_id, src, dst, [0x00]);
     }
 
     /// Checks captures for the MAC ack answering a previous
     /// [`Dongle::send_ping`].
     pub fn check_ping(&self, target: NodeId) -> PingOutcome {
-        let acked = self.drain().iter().any(|f| {
-            MacFrame::decode(&f.bytes).map(|m| m.is_ack() && m.src() == target).unwrap_or(false)
+        let acked = self.drain_any(|bytes| {
+            MacFrame::decode(bytes).is_ok_and(|m| m.is_ack() && m.src() == target)
         });
         if acked {
             PingOutcome::Alive
@@ -229,6 +248,32 @@ mod tests {
         // A payload beyond the MAC limit is refused, not panicked on.
         dongle.inject_apl(tb.controller().home_id(), NodeId(2), NodeId(1), vec![0u8; 60]);
         assert_eq!(dongle.frames_injected(), 1);
+    }
+
+    #[test]
+    fn a_refused_payload_leaves_nothing_to_retransmit_and_keeps_the_sequence() {
+        let medium = Medium::new(SimClock::new(), 5);
+        let listener = medium.attach(0.0);
+        let mut dongle = Dongle::attach(&medium, 70.0);
+        let (home, src, dst) = (HomeId(0xCB95_A34A), NodeId(2), NodeId(1));
+        let sequence = |bytes: &[u8]| MacFrame::decode(bytes).unwrap().frame_control().sequence;
+
+        dongle.inject_apl(home, src, dst, [0x20, 0x01]);
+        let first = listener.drain();
+        assert_eq!(first.len(), 1);
+        dongle.inject_apl(home, src, dst, [0u8; 60]);
+        assert_eq!(listener.pending(), 0, "a refused payload goes nowhere");
+        assert!(!dongle.retransmit_last(), "nothing to resend for a refused payload");
+        assert_eq!((dongle.frames_injected(), dongle.retransmissions()), (1, 0));
+
+        // The next accepted frame takes the sequence number the refused one
+        // would have had, and it is what a retransmission resends.
+        dongle.inject_apl(home, src, dst, [0x20, 0x02]);
+        assert!(dongle.retransmit_last());
+        let next = listener.drain();
+        assert_eq!(next.len(), 2);
+        assert_eq!(sequence(&next[0].bytes), (sequence(&first[0].bytes) + 1) & 0x0F);
+        assert_eq!(next[0].bytes, next[1].bytes, "the resend is the current frame");
     }
 
     #[test]

@@ -822,10 +822,8 @@ impl Fuzzer {
             state.target.pump();
             state.dongle.wait_for_responses();
             state.target.pump();
-            state.dongle.drain().iter().any(|f| {
-                zwave_protocol::MacFrame::decode(&f.bytes)
-                    .map(|m| m.is_ack() && m.src() == dst)
-                    .unwrap_or(false)
+            state.dongle.drain_any(|bytes| {
+                zwave_protocol::MacFrame::decode(bytes).is_ok_and(|m| m.is_ack() && m.src() == dst)
             })
         };
         state.dongle.flush();

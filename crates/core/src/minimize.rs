@@ -118,7 +118,7 @@ mod tests {
                 tb.controller().home_id(),
                 NodeId(0x03),
                 NodeId(0x01),
-                candidate.to_vec(),
+                candidate,
             );
             attacker.transmit(&frame.encode());
             tb.pump();
@@ -147,7 +147,7 @@ mod tests {
                 tb.controller().home_id(),
                 NodeId(0x03),
                 NodeId(0x01),
-                candidate.to_vec(),
+                candidate,
             );
             attacker.transmit(&frame.encode());
             tb.pump();

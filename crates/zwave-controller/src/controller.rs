@@ -445,7 +445,7 @@ impl SimController {
             zwave_protocol::ChecksumKind::Cs8,
         )
         .expect("controller payloads are bounded");
-        let bytes = FrameBuf::from(frame.encode());
+        let bytes = frame.to_buf();
         // The arrival instant (transmit time plus queued airtime) anchors
         // the ack wait: the receiver cannot ack before the frame lands.
         let arrival = self.radio.transmit_buf(&bytes);
@@ -488,7 +488,7 @@ impl SimController {
         ) else {
             return;
         };
-        self.radio.transmit(&frame.encode());
+        self.radio.transmit_buf(&frame.to_buf());
         self.stats.responses_sent += 1;
     }
 
@@ -511,7 +511,7 @@ impl SimController {
                 zwave_protocol::ChecksumKind::Cs8,
             )
             .expect("bounded");
-            self.radio.transmit(&frame.encode());
+            self.radio.transmit_buf(&frame.to_buf());
         }
     }
 
@@ -659,7 +659,7 @@ impl SimController {
                 frame.src(),
                 frame.frame_control().sequence,
             );
-            self.radio.transmit_buf(&FrameBuf::from(ack.encode()));
+            self.radio.transmit_buf(&ack.to_buf());
             self.stats.acks_sent += 1;
         }
         // Duplicate suppression comes *after* the MAC ack: a retransmitted

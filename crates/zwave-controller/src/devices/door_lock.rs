@@ -5,7 +5,7 @@ use std::time::Duration;
 use zwave_crypto::s2::S2Session;
 use zwave_protocol::apl::ApplicationPayload;
 use zwave_protocol::{CommandClassId, HomeId, MacFrame, NodeId};
-use zwave_radio::{FrameBuf, Medium, Transceiver};
+use zwave_radio::{Medium, Transceiver};
 
 use crate::coverage::{state as cov, CoverageMap};
 
@@ -105,7 +105,7 @@ impl SimDoorLock {
             zwave_protocol::ChecksumKind::Cs8,
         )
         .expect("lock payloads are bounded");
-        self.radio.transmit(&frame.encode());
+        self.radio.transmit_buf(&frame.to_buf());
     }
 
     /// Processes pending frames: answers S2-encapsulated door-lock
@@ -132,7 +132,7 @@ impl SimDoorLock {
                 frame.src(),
                 frame.frame_control().sequence,
             );
-            self.radio.transmit_buf(&FrameBuf::from(ack.encode()));
+            self.radio.transmit_buf(&ack.to_buf());
         }
         let Ok(payload) = ApplicationPayload::parse(frame.payload()) else { return };
         if payload.command_class() != CommandClassId::SECURITY_2 || payload.command() != Some(0x03)

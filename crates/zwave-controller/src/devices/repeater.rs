@@ -98,7 +98,7 @@ impl SimRepeater {
             payload,
             zwave_protocol::ChecksumKind::Cs8,
         ) {
-            self.radio.transmit(&forwarded.encode());
+            self.radio.transmit_buf(&forwarded.to_buf());
             self.frames_forwarded += 1;
         }
     }

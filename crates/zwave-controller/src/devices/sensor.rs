@@ -130,7 +130,7 @@ impl SimSensor {
             payload,
             zwave_protocol::ChecksumKind::Cs8,
         ) {
-            self.radio.transmit(&frame.encode());
+            self.radio.transmit_buf(&frame.to_buf());
         }
     }
 

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use zwave_protocol::apl::ApplicationPayload;
 use zwave_protocol::{HeaderType, HomeId, MacFrame, NodeId, RoutingHeader};
-use zwave_radio::{FrameBuf, Medium, Transceiver};
+use zwave_radio::{Medium, Transceiver};
 
 use crate::coverage::{state as cov, CoverageMap};
 
@@ -122,7 +122,7 @@ impl SimSwitch {
             zwave_protocol::ChecksumKind::Cs8,
         )
         .expect("switch payloads are bounded");
-        self.radio.transmit(&frame.encode());
+        self.radio.transmit_buf(&frame.to_buf());
     }
 
     /// Processes pending frames (legacy devices accept unencrypted
@@ -161,7 +161,7 @@ impl SimSwitch {
                     payload,
                     zwave_protocol::ChecksumKind::Cs8,
                 ) {
-                    self.radio.transmit(&forwarded.encode());
+                    self.radio.transmit_buf(&forwarded.to_buf());
                 }
             } else if header.on_final_leg() && frame.dst() == self.node_id {
                 if frame.frame_control().ack_requested {
@@ -171,7 +171,7 @@ impl SimSwitch {
                         frame.src(),
                         frame.frame_control().sequence,
                     );
-                    self.radio.transmit_buf(&FrameBuf::from(ack.encode()));
+                    self.radio.transmit_buf(&ack.to_buf());
                 }
                 if header.outbound {
                     self.send_routed_ack(frame.src(), &header);
@@ -196,7 +196,7 @@ impl SimSwitch {
                 frame.src(),
                 frame.frame_control().sequence,
             );
-            self.radio.transmit_buf(&FrameBuf::from(ack.encode()));
+            self.radio.transmit_buf(&ack.to_buf());
         }
         let Ok(payload) = ApplicationPayload::parse(frame.payload()) else { return };
         self.handle_apl(frame.src(), &payload);
@@ -248,7 +248,7 @@ impl SimSwitch {
             inbound.routed_ack().encode(),
             zwave_protocol::ChecksumKind::Cs8,
         ) {
-            self.radio.transmit(&frame.encode());
+            self.radio.transmit_buf(&frame.to_buf());
         }
     }
 
@@ -282,7 +282,7 @@ impl SimSwitch {
             payload,
             zwave_protocol::ChecksumKind::Cs8,
         ) {
-            self.radio.transmit(&frame.encode());
+            self.radio.transmit_buf(&frame.to_buf());
         }
     }
 }

@@ -44,9 +44,9 @@ pub struct Dissection {
 
 impl Dissection {
     /// Dissects raw wire bytes through MAC validation into fields. The
-    /// bytes are copied once into the dissection; sniffer paths that
-    /// already hold a [`FrameBuf`] should prefer the zero-copy
-    /// [`Dissection::from_buf`].
+    /// decode reads the bytes in place, and they are copied once, into the
+    /// dissection's [`FrameBuf`]; sniffer paths that already hold a
+    /// `FrameBuf` should prefer the zero-copy [`Dissection::from_buf`].
     ///
     /// # Errors
     ///
@@ -57,8 +57,9 @@ impl Dissection {
         Ok(Dissection::from_frame(&frame, bytes))
     }
 
-    /// Dissects a captured frame buffer without copying it: the resulting
-    /// dissection shares `buf` (a ref-count bump).
+    /// Dissects a captured frame buffer without copying it: the decode
+    /// reads `buf` in place and the resulting dissection shares it (a
+    /// ref-count bump). Only the application-layer parse allocates.
     ///
     /// # Errors
     ///

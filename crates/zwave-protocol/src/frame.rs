@@ -1,7 +1,10 @@
 //! MAC-layer frame model: the paper's Figure 1 byte layout with
 //! encode/decode, validation, and mutation-friendly raw access.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
+use zwave_radio::FrameBuf;
 
 use crate::checksum::{crc16_ccitt, cs8};
 use crate::error::ProtocolError;
@@ -163,6 +166,10 @@ impl MacPeek {
     }
 }
 
+/// Payload bytes a MAC frame can carry: the 64-byte limit less the header
+/// and the shortest (CS-8) trailer.
+const MAX_PAYLOAD_LEN: usize = MAX_MAC_FRAME_LEN - MAC_HEADER_LEN - 1;
+
 /// A complete Z-Wave MAC frame (Figure 1 of the paper).
 ///
 /// Invariants maintained by constructors and [`MacFrame::decode`]:
@@ -170,14 +177,56 @@ impl MacPeek {
 /// field always equals the true encoded size. The checksum is (re)computed
 /// on [`MacFrame::encode`]; intentionally corrupt frames for fuzzing are
 /// produced with [`MacFrame::encode_with_checksum`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The payload is stored inline, so building or decoding a frame never
+/// allocates. Bytes past the payload length are always zero, which keeps
+/// the derived `Eq` and `Hash` equal to comparing the payload slices.
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MacFrame {
     home_id: HomeId,
     src: NodeId,
     frame_control: FrameControl,
     dst: NodeId,
-    payload: Vec<u8>,
+    payload_len: u8,
+    payload: [u8; MAX_PAYLOAD_LEN],
     checksum_kind: ChecksumKind,
+}
+
+impl fmt::Debug for MacFrame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MacFrame")
+            .field("home_id", &self.home_id)
+            .field("src", &self.src)
+            .field("frame_control", &self.frame_control)
+            .field("dst", &self.dst)
+            .field("payload", &self.payload())
+            .field("checksum_kind", &self.checksum_kind)
+            .finish()
+    }
+}
+
+/// One encoded frame on the stack: the single byte writer behind
+/// [`MacFrame::encode`], [`MacFrame::encode_into`],
+/// [`MacFrame::encode_with_checksum`] and [`MacFrame::to_buf`].
+struct Wire {
+    bytes: [u8; MAX_MAC_FRAME_LEN],
+    len: usize,
+}
+
+impl Wire {
+    fn push(&mut self, byte: u8) {
+        self.bytes[self.len] = byte;
+        self.len += 1;
+    }
+
+    fn extend(&mut self, bytes: &[u8]) {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
 }
 
 impl MacFrame {
@@ -188,7 +237,12 @@ impl MacFrame {
     /// Panics if `payload` would push the encoded frame past
     /// [`MAX_MAC_FRAME_LEN`]; use [`MacFrame::try_new`] for fallible
     /// construction from untrusted sizes.
-    pub fn singlecast(home_id: HomeId, src: NodeId, dst: NodeId, payload: Vec<u8>) -> Self {
+    pub fn singlecast(
+        home_id: HomeId,
+        src: NodeId,
+        dst: NodeId,
+        payload: impl AsRef<[u8]>,
+    ) -> Self {
         MacFrame::try_new(
             home_id,
             src,
@@ -202,18 +256,11 @@ impl MacFrame {
 
     /// Builds a MAC acknowledgement frame.
     pub fn ack(home_id: HomeId, src: NodeId, dst: NodeId, sequence: u8) -> Self {
-        MacFrame::try_new(
-            home_id,
-            src,
-            FrameControl::ack(sequence),
-            dst,
-            Vec::new(),
-            ChecksumKind::Cs8,
-        )
-        .expect("empty ack always fits")
+        MacFrame::try_new(home_id, src, FrameControl::ack(sequence), dst, [], ChecksumKind::Cs8)
+            .expect("empty ack always fits")
     }
 
-    /// Fallible general constructor.
+    /// Fallible general constructor. The payload is copied into the frame.
     ///
     /// # Errors
     ///
@@ -224,14 +271,20 @@ impl MacFrame {
         src: NodeId,
         frame_control: FrameControl,
         dst: NodeId,
-        payload: Vec<u8>,
+        payload: impl AsRef<[u8]>,
         checksum_kind: ChecksumKind,
     ) -> Result<Self, ProtocolError> {
-        let total = MAC_HEADER_LEN + payload.len() + checksum_kind.len();
-        if total > MAX_MAC_FRAME_LEN {
-            return Err(ProtocolError::FrameTooLong { len: total });
-        }
-        Ok(MacFrame { home_id, src, frame_control, dst, payload, checksum_kind })
+        let mut frame = MacFrame {
+            home_id,
+            src,
+            frame_control,
+            dst,
+            payload_len: 0,
+            payload: [0; MAX_PAYLOAD_LEN],
+            checksum_kind,
+        };
+        frame.set_payload(payload)?;
+        Ok(frame)
     }
 
     /// The network home identifier.
@@ -256,7 +309,7 @@ impl MacFrame {
 
     /// The application payload carried after the MAC header.
     pub fn payload(&self) -> &[u8] {
-        &self.payload
+        &self.payload[..usize::from(self.payload_len)]
     }
 
     /// Replaces the application payload.
@@ -265,12 +318,16 @@ impl MacFrame {
     ///
     /// Returns [`ProtocolError::FrameTooLong`] when the new payload would
     /// exceed the MAC limit; the frame is left unchanged in that case.
-    pub fn set_payload(&mut self, payload: Vec<u8>) -> Result<(), ProtocolError> {
+    pub fn set_payload(&mut self, payload: impl AsRef<[u8]>) -> Result<(), ProtocolError> {
+        let payload = payload.as_ref();
         let total = MAC_HEADER_LEN + payload.len() + self.checksum_kind.len();
         if total > MAX_MAC_FRAME_LEN {
             return Err(ProtocolError::FrameTooLong { len: total });
         }
-        self.payload = payload;
+        let (head, tail) = self.payload.split_at_mut(payload.len());
+        head.copy_from_slice(payload);
+        tail.fill(0);
+        self.payload_len = payload.len() as u8;
         Ok(())
     }
 
@@ -286,14 +343,12 @@ impl MacFrame {
 
     /// Total encoded size in bytes, including the checksum trailer.
     pub fn encoded_len(&self) -> usize {
-        MAC_HEADER_LEN + self.payload.len() + self.checksum_kind.len()
+        MAC_HEADER_LEN + usize::from(self.payload_len) + self.checksum_kind.len()
     }
 
     /// Serializes the frame, computing a *correct* checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
+        self.wire(None).as_slice().to_vec()
     }
 
     /// Serializes the frame (correct checksum) into `out`, clearing it
@@ -301,43 +356,44 @@ impl MacFrame {
     /// building a fresh vector per [`MacFrame::encode`] call.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        out.reserve(self.encoded_len());
-        self.encode_without_checksum_into(out);
-        match self.checksum_kind {
-            ChecksumKind::Cs8 => out.push(cs8(out)),
-            ChecksumKind::Crc16 => {
-                let crc = crc16_ccitt(out);
-                out.extend_from_slice(&crc.to_be_bytes());
-            }
-        }
+        out.extend_from_slice(self.wire(None).as_slice());
+    }
+
+    /// Serializes the frame (correct checksum) straight into a shared
+    /// frame buffer: one allocation, ready for `Transceiver::transmit_buf`.
+    pub fn to_buf(&self) -> FrameBuf {
+        FrameBuf::from_slice(self.wire(None).as_slice())
     }
 
     /// Serializes the frame with a caller-supplied checksum value, letting
     /// fuzzers emit deliberately corrupt trailers.
     pub fn encode_with_checksum(&self, checksum: u16) -> Vec<u8> {
-        let mut out = self.encode_without_checksum();
-        match self.checksum_kind {
-            ChecksumKind::Cs8 => out.push(checksum as u8),
-            ChecksumKind::Crc16 => out.extend_from_slice(&checksum.to_be_bytes()),
-        }
-        out
+        self.wire(Some(checksum)).as_slice().to_vec()
     }
 
-    fn encode_without_checksum(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_without_checksum_into(&mut out);
-        out
-    }
-
-    fn encode_without_checksum_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.home_id.to_bytes());
-        out.push(self.src.0);
+    /// Writes the wire bytes on the stack: the header, the payload, then
+    /// `checksum` as the trailer, or the correct checksum when `None`.
+    fn wire(&self, checksum: Option<u16>) -> Wire {
+        let mut wire = Wire { bytes: [0; MAX_MAC_FRAME_LEN], len: 0 };
+        wire.extend(&self.home_id.to_bytes());
+        wire.push(self.src.0);
         let (p1, p2) = self.frame_control.encode();
-        out.push(p1);
-        out.push(p2);
-        out.push(self.encoded_len() as u8);
-        out.push(self.dst.0);
-        out.extend_from_slice(&self.payload);
+        wire.push(p1);
+        wire.push(p2);
+        wire.push(self.encoded_len() as u8);
+        wire.push(self.dst.0);
+        wire.extend(self.payload());
+        match self.checksum_kind {
+            ChecksumKind::Cs8 => {
+                let trailer = checksum.map_or_else(|| cs8(wire.as_slice()), |c| c as u8);
+                wire.push(trailer);
+            }
+            ChecksumKind::Crc16 => {
+                let trailer = checksum.unwrap_or_else(|| crc16_ccitt(wire.as_slice()));
+                wire.extend(&trailer.to_be_bytes());
+            }
+        }
+        wire
     }
 
     /// The home id of raw wire bytes (`None` when shorter than the field):
@@ -415,8 +471,7 @@ impl MacFrame {
         let src = NodeId(bytes[SRC_AT]);
         let frame_control = FrameControl::decode(bytes[P1_AT], bytes[P2_AT])?;
         let dst = NodeId(bytes[DST_AT]);
-        let payload = body[MAC_HEADER_LEN..].to_vec();
-        Ok(MacFrame { home_id, src, frame_control, dst, payload, checksum_kind: kind })
+        MacFrame::try_new(home_id, src, frame_control, dst, &body[MAC_HEADER_LEN..], kind)
     }
 }
 
@@ -592,6 +647,21 @@ mod tests {
         assert_eq!(f.payload(), &[0x20, 0x01, 0xFF]);
         f.set_payload(vec![0x62, 0x01]).unwrap();
         assert_eq!(f.payload(), &[0x62, 0x01]);
+    }
+
+    #[test]
+    fn a_shrunk_payload_compares_and_hashes_as_a_fresh_frame() {
+        use std::hash::{BuildHasher, RandomState};
+        let mut shrunk = sample();
+        shrunk.set_payload([0x62, 0x01, 0x00, 0x00, 0xFF]).unwrap();
+        shrunk.set_payload([0x62]).unwrap();
+        let mut fresh = sample();
+        fresh.set_payload([0x62]).unwrap();
+        assert_eq!(shrunk, fresh);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&shrunk), hasher.hash_one(&fresh));
+        assert_eq!(format!("{shrunk:?}"), format!("{fresh:?}"));
+        assert!(format!("{shrunk:?}").contains("payload: [98]"), "Debug shows the payload only");
     }
 
     #[test]

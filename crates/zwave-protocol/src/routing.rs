@@ -67,11 +67,18 @@ impl RoutingHeader {
     /// Serializes as `[flags, hop, count, repeaters...]`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(3 + self.repeaters.len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Serializes into `out` as [`RoutingHeader::encode`] does, clearing
+    /// it first, so a sender can reuse one buffer across frames.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
         out.push(if self.outbound { 0x01 } else { 0x00 });
         out.push(self.hop);
         out.push(self.repeaters.len() as u8);
         out.extend(self.repeaters.iter().map(|n| n.0));
-        out
     }
 
     /// Parses the header from the front of a routed payload; returns the

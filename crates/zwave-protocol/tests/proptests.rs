@@ -61,6 +61,27 @@ proptest! {
         prop_assert_eq!(back, frame);
     }
 
+    /// `to_buf` is `encode` in a shared buffer, and `encode_into` writes
+    /// the same bytes into a reused vector, for every well-formed frame
+    /// and both checksum kinds.
+    #[test]
+    fn to_buf_and_encode_into_match_encode(
+        frame in arb_frame(),
+        stale in proptest::collection::vec(any::<u8>(), 0..80),
+    ) {
+        let wire = frame.encode();
+        let buf = frame.to_buf();
+        prop_assert_eq!(buf.as_slice(), wire.as_slice());
+        let mut scratch = stale;
+        frame.encode_into(&mut scratch);
+        prop_assert_eq!(&scratch, &wire);
+        let trailer = match frame.checksum_kind() {
+            ChecksumKind::Cs8 => u16::from(wire[wire.len() - 1]),
+            ChecksumKind::Crc16 => u16::from_be_bytes([wire[wire.len() - 2], wire[wire.len() - 1]]),
+        };
+        prop_assert_eq!(frame.encode_with_checksum(trailer), wire);
+    }
+
     /// Flipping any single bit of the wire image is always detected: by the
     /// checksum, the LEN consistency check, or the header-type check.
     #[test]

@@ -4,32 +4,33 @@
 //! with [`FrameBuf`] an uncorrupted broadcast to N receivers is one
 //! allocation plus N reference-count bumps, and link-layer retransmissions
 //! of byte-identical frames are pure ref-count bumps. The impairment and
-//! noise layers call [`FrameBuf::make_mut`] only when they actually flip,
-//! truncate, or otherwise rewrite bytes, so the copy happens exactly on the
+//! noise layers call [`FrameBuf::make_mut`] or [`FrameBuf::truncate`] only
+//! when they actually flip or cut bytes, so the copy happens exactly on the
 //! (rare) mutating paths and every other holder keeps the pristine frame.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
-/// A cheaply-cloneable, copy-on-write frame buffer.
+/// A cheaply-cloneable, copy-on-write frame buffer: one `Rc<[u8]>`
+/// allocation holding the bytes and both reference counts.
 ///
 /// Dereferences to `[u8]`, so read paths treat it exactly like a byte
 /// slice; equality is over the bytes, not the allocation. Cloning bumps a
-/// reference count; [`FrameBuf::make_mut`] gives `&mut Vec<u8>` access,
-/// copying the bytes first only if another clone is still alive.
-#[derive(Clone, Default)]
+/// reference count; [`FrameBuf::make_mut`] gives `&mut [u8]` access,
+/// copying the bytes first only if another clone is still alive. A frame
+/// never grows once built: it is encoded whole and then only flipped or
+/// cut short by the channel.
+///
+/// A home runs on one thread, so the count is not atomic and a frame is
+/// `!Send`, like the medium that carries it.
+#[derive(Clone)]
 pub struct FrameBuf {
-    inner: Arc<Vec<u8>>,
+    inner: Rc<[u8]>,
 }
 
 impl FrameBuf {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        FrameBuf::default()
-    }
-
     /// Copies `bytes` into a fresh buffer (one allocation).
     pub fn from_slice(bytes: &[u8]) -> Self {
-        FrameBuf { inner: Arc::new(bytes.to_vec()) }
+        FrameBuf { inner: Rc::from(bytes) }
     }
 
     /// The frame bytes.
@@ -40,15 +41,17 @@ impl FrameBuf {
     /// Mutable access to the bytes, copy-on-write: if other clones share
     /// the allocation the bytes are copied first, otherwise this is free.
     /// Sharers keep the pre-mutation bytes either way.
-    pub fn make_mut(&mut self) -> &mut Vec<u8> {
-        Arc::make_mut(&mut self.inner)
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        Rc::make_mut(&mut self.inner)
     }
 
-    /// Whether this is the only live handle to the allocation (in which
-    /// case [`FrameBuf::make_mut`] will not copy). Used by
-    /// [`FrameBufPool`] to decide when a retired buffer may be recycled.
-    pub fn is_unique(&self) -> bool {
-        Arc::strong_count(&self.inner) == 1
+    /// Cuts the frame to its first `keep` bytes (no-op when it is no
+    /// longer than that). A shorter frame needs a new allocation, so this
+    /// copies the prefix; sharers keep the whole frame.
+    pub fn truncate(&mut self, keep: usize) {
+        if keep < self.inner.len() {
+            self.inner = Rc::from(&self.inner[..keep]);
+        }
     }
 }
 
@@ -67,9 +70,10 @@ impl AsRef<[u8]> for FrameBuf {
 }
 
 impl From<Vec<u8>> for FrameBuf {
-    /// Wraps an owned vector without copying the bytes.
+    /// Moves the bytes into a shared allocation (one allocation; the
+    /// vector's own buffer is freed).
     fn from(bytes: Vec<u8>) -> Self {
-        FrameBuf { inner: Arc::new(bytes) }
+        FrameBuf { inner: Rc::from(bytes) }
     }
 }
 
@@ -150,49 +154,6 @@ impl<'a> IntoIterator for &'a FrameBuf {
     }
 }
 
-/// A bounded free-list of retired [`FrameBuf`]s.
-///
-/// The fuzzing hot loop injects one frame per trial iteration; once every
-/// receiver has dropped its clones the retired buffer's allocation can be
-/// reused for the next frame instead of hitting the allocator. Buffers
-/// still shared when [`FrameBufPool::acquire`] scans the list are left in
-/// place until their refcount drains.
-#[derive(Debug, Default)]
-pub struct FrameBufPool {
-    retired: Vec<FrameBuf>,
-}
-
-/// Retired buffers kept around per pool; beyond this the oldest is dropped.
-const POOL_CAP: usize = 8;
-
-impl FrameBufPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        FrameBufPool::default()
-    }
-
-    /// Returns an empty buffer with exclusive ownership, reusing a retired
-    /// allocation when one has fully drained.
-    pub fn acquire(&mut self) -> FrameBuf {
-        if let Some(idx) = self.retired.iter().position(FrameBuf::is_unique) {
-            let mut buf = self.retired.swap_remove(idx);
-            buf.make_mut().clear();
-            buf
-        } else {
-            FrameBuf::new()
-        }
-    }
-
-    /// Hands a no-longer-needed buffer back for later reuse. The buffer may
-    /// still be shared; it becomes reusable once the other clones drop.
-    pub fn retire(&mut self, buf: FrameBuf) {
-        if self.retired.len() >= POOL_CAP {
-            self.retired.remove(0);
-        }
-        self.retired.push(buf);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,9 +163,9 @@ mod tests {
         let a = FrameBuf::from_slice(&[1, 2, 3]);
         let b = a.clone();
         assert!(std::ptr::eq(a.as_slice(), b.as_slice()));
-        assert!(!a.is_unique());
+        assert_eq!(Rc::strong_count(&a.inner), 2);
         drop(b);
-        assert!(a.is_unique());
+        assert_eq!(Rc::strong_count(&a.inner), 1);
     }
 
     #[test]
@@ -221,6 +182,19 @@ mod tests {
     }
 
     #[test]
+    fn truncate_cuts_only_this_handle() {
+        let mut a = FrameBuf::from_slice(&[1, 2, 3, 4]);
+        let b = a.clone();
+        a.truncate(9);
+        assert!(std::ptr::eq(a.as_slice(), b.as_slice()), "no cut, no copy");
+        a.truncate(2);
+        assert_eq!(a, [1, 2]);
+        assert_eq!(b, [1, 2, 3, 4], "sharer keeps the whole frame");
+        a.truncate(0);
+        assert!(a.is_empty());
+    }
+
+    #[test]
     fn equality_is_over_bytes_not_allocations() {
         let a = FrameBuf::from_slice(&[0xDE, 0xAD]);
         let b = FrameBuf::from_slice(&[0xDE, 0xAD]);
@@ -233,14 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_does_not_copy() {
-        let v = vec![7u8; 32];
-        let ptr = v.as_ptr();
-        let buf = FrameBuf::from(v);
-        assert_eq!(buf.as_slice().as_ptr(), ptr);
-    }
-
-    #[test]
     fn deref_gives_slice_ops() {
         let buf = FrameBuf::from_slice(&[5, 6, 7, 8]);
         assert_eq!(buf.len(), 4);
@@ -248,49 +214,5 @@ mod tests {
         assert_eq!(buf[1], 6);
         assert_eq!(&buf[..2], &[5, 6]);
         assert_eq!(buf.iter().copied().sum::<u8>(), 26);
-    }
-
-    #[test]
-    fn pool_reuses_drained_allocations() {
-        let mut pool = FrameBufPool::new();
-        let mut first = pool.acquire();
-        first.make_mut().extend_from_slice(&[1, 2, 3, 4]);
-        let data_ptr = first.as_slice().as_ptr();
-        pool.retire(first);
-        let mut again = pool.acquire();
-        assert!(again.is_empty());
-        // Capacity (and thus the data pointer) survives the recycle.
-        assert!(again.inner.capacity() >= 4);
-        again.make_mut().extend_from_slice(&[9]);
-        assert_eq!(again.as_slice().as_ptr(), data_ptr);
-    }
-
-    #[test]
-    fn pool_skips_buffers_still_shared() {
-        let mut pool = FrameBufPool::new();
-        let mut buf = pool.acquire();
-        buf.make_mut().push(1);
-        let holder = buf.clone();
-        pool.retire(buf);
-        // The receiver-side clone is still alive: acquire must not hand the
-        // same allocation out again.
-        let fresh = pool.acquire();
-        assert!(fresh.is_unique());
-        assert_eq!(holder, vec![1]);
-        drop(holder);
-        // Now it has drained and gets recycled.
-        let recycled = pool.acquire();
-        assert!(recycled.inner.capacity() >= 1);
-    }
-
-    #[test]
-    fn pool_is_bounded() {
-        let mut pool = FrameBufPool::new();
-        for i in 0..2 * POOL_CAP {
-            let mut buf = FrameBuf::new();
-            buf.make_mut().push(i as u8);
-            pool.retire(buf);
-        }
-        assert_eq!(pool.retired.len(), POOL_CAP);
     }
 }

@@ -40,7 +40,7 @@ pub mod sniffer;
 
 pub use attacker::{AttackerSchedule, AttackerStation};
 pub use clock::{SimClock, SimInstant};
-pub use framebuf::{FrameBuf, FrameBufPool};
+pub use framebuf::FrameBuf;
 pub use impairment::{GilbertElliott, ImpairmentProfile, ImpairmentSchedule, ImpairmentStage};
 pub use medium::{Medium, MediumStats, RxFrame, Transceiver, RX_QUEUE_CAP};
 pub use noise::NoiseModel;

@@ -46,8 +46,13 @@ pub const DEFAULT_BITRATE: u32 = 40_000;
 /// nobody services — a passive sniffer left attached through a fuzzing
 /// campaign would otherwise pin every frame the campaign ever broadcast,
 /// and with shared [`FrameBuf`] deliveries that keeps each frame's
-/// allocation alive (and the allocator cold) for the whole run.
+/// allocation alive, so memory would grow with campaign length.
 pub const RX_QUEUE_CAP: usize = 512;
+
+/// Emptied delivery lists the medium keeps for reuse by `transmit`. The
+/// channel serializes frames and every receive-side query releases the
+/// due arrivals, so only a few frames are ever in flight at once.
+const SPARE_DELIVERY_LISTS: usize = 8;
 
 /// A frame as received by one station.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,6 +164,13 @@ struct MediumInner {
     /// Bumped by every `set_impairment`; blackout events from older
     /// generations are ignored when they surface.
     blackout_gen: u64,
+    /// The event batch `drain_due` releases into, kept between flushes.
+    /// Taken out for the drain and put back after it, so a flush nested
+    /// inside an apply finds an empty slot and builds its own batch.
+    batch: Vec<Event>,
+    /// Emptied delivery lists of applied frame arrivals, reused by
+    /// `transmit` (at most [`SPARE_DELIVERY_LISTS`]).
+    spare_deliveries: Vec<Vec<Delivery>>,
 }
 
 /// The shared radio medium. Cloning yields another handle to the same air.
@@ -210,6 +222,8 @@ impl Medium {
                 fired: Vec::new(),
                 in_blackout: false,
                 blackout_gen: 0,
+                batch: Vec::new(),
+                spare_deliveries: Vec::new(),
             })),
             sched,
             clock,
@@ -362,25 +376,26 @@ impl Medium {
         }
     }
 
-    /// Applies every due event up to `target` in same-instant batches.
-    /// The buffer is local: it allocates only on flushes that actually
-    /// release events, which are rare next to the empty probes.
+    /// Applies every due event up to `target` in same-instant batches,
+    /// into the medium's one batch buffer: after the first few flushes no
+    /// flush allocates.
     fn drain_due(&self, target: SimInstant) {
-        let mut batch = Vec::new();
+        let mut batch = std::mem::take(&mut self.inner.borrow_mut().batch);
         while self.sched.pop_due_batch(target, &mut batch) > 0 {
             for event in batch.drain(..) {
                 self.apply(event);
             }
         }
+        self.inner.borrow_mut().batch = batch;
     }
 
     /// Applies one released event to the medium state.
     fn apply(&self, event: Event) {
         match event.kind {
-            EventKind::FrameArrival(deliveries) => {
+            EventKind::FrameArrival(mut deliveries) => {
                 let mut inner = self.inner.borrow_mut();
-                let MediumInner { stations, stats, .. } = &mut *inner;
-                for d in deliveries {
+                let MediumInner { stations, stats, spare_deliveries, .. } = &mut *inner;
+                for d in deliveries.drain(..) {
                     let station = &mut stations[d.station];
                     let frame = RxFrame { bytes: d.bytes, at: event.at, rssi_cdbm: d.rssi_cdbm };
                     // Bounded reordering: the frame jumps ahead of at most
@@ -406,6 +421,9 @@ impl Medium {
                         station.rx_overflows += 1;
                         stats.rx_overflows += 1;
                     }
+                }
+                if spare_deliveries.len() < SPARE_DELIVERY_LISTS {
+                    spare_deliveries.push(deliveries);
                 }
             }
             EventKind::Timer(_) => self.inner.borrow_mut().fired.push(event.actor),
@@ -513,8 +531,9 @@ impl Medium {
         let clean = inner.impairment.is_clean() && noise.is_clean();
 
         // Split borrows: stats updated while iterating stations.
-        let MediumInner { stations, stats, impairment, .. } = &mut *inner;
-        let mut deliveries = Vec::with_capacity(stations.len());
+        let MediumInner { stations, stats, impairment, spare_deliveries, .. } = &mut *inner;
+        let mut deliveries = spare_deliveries.pop().unwrap_or_default();
+        deliveries.reserve(stations.len());
         for (i, station) in stations.iter().enumerate() {
             if i == from || !station.enabled || !station.region.interoperates_with(tx_region) {
                 continue;
@@ -574,7 +593,7 @@ impl Medium {
                             && delivered.len() > 1
                         {
                             let keep = rng.gen_range(1..delivered.len());
-                            delivered.make_mut().truncate(keep);
+                            delivered.truncate(keep);
                             stats.truncations += 1;
                         }
                     }
@@ -627,9 +646,10 @@ impl Transceiver {
     /// in-flight transmission; the returned instant is when it arrives at
     /// the receivers (`now` plus queued airtime).
     ///
-    /// Copies `bytes` into a shared [`FrameBuf`] once; callers that
-    /// already hold a `FrameBuf` (retransmission paths, frame pools)
-    /// should use [`Transceiver::transmit_buf`] to skip even that copy.
+    /// Copies `bytes` into a shared [`FrameBuf`] (one allocation);
+    /// callers that already hold a `FrameBuf` (retransmissions, frames
+    /// built with `MacFrame::to_buf`) should use
+    /// [`Transceiver::transmit_buf`] to skip even that copy.
     pub fn transmit(&self, bytes: &[u8]) -> SimInstant {
         self.medium.transmit(self.index, &FrameBuf::from_slice(bytes))
     }
@@ -673,6 +693,22 @@ impl Transceiver {
     pub fn drain(&self) -> Vec<RxFrame> {
         self.medium.flush();
         self.medium.inner.borrow_mut().stations[self.index].queue.drain(..).collect()
+    }
+
+    /// Empties the receive queue exactly as [`Transceiver::drain`] does
+    /// and reports whether any dropped frame's bytes satisfy `matches`,
+    /// without collecting the frames. `matches` runs in queue order and
+    /// not at all after the first hit.
+    ///
+    /// `matches` runs while the medium is borrowed and must not touch the
+    /// medium.
+    pub fn drain_any(&self, mut matches: impl FnMut(&[u8]) -> bool) -> bool {
+        self.medium.flush();
+        let mut inner = self.medium.inner.borrow_mut();
+        let queue = &mut inner.stations[self.index].queue;
+        let found = queue.iter().any(|frame| matches(&frame.bytes));
+        queue.clear();
+        found
     }
 
     /// Number of frames waiting in the receive queue (releasing due
@@ -768,6 +804,33 @@ mod tests {
         assert_eq!(a.try_recv(), None, "sender does not hear itself");
         assert_eq!(b.try_recv().unwrap().bytes, vec![1, 2, 3]);
         assert_eq!(c.try_recv().unwrap().bytes, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn drain_any_empties_the_ring_and_answers_as_drain_then_any() {
+        let medium = Medium::new(SimClock::new(), 1);
+        let a = medium.attach(0.0);
+        let b = medium.attach(5.0);
+        let c = medium.attach(9.0);
+        let probes: [fn(&[u8]) -> bool; 4] =
+            [|_| false, |_| true, |bytes| bytes[0] == 3, |bytes| bytes[0] > 9];
+        for probe in probes {
+            for byte in [1u8, 2, 3, 4] {
+                a.transmit(&[byte]);
+            }
+            let expected = b.drain().iter().any(|f| probe(&f.bytes));
+            let mut seen = Vec::new();
+            let found = c.drain_any(|bytes| {
+                seen.push(bytes[0]);
+                probe(bytes)
+            });
+            assert_eq!(found, expected);
+            assert_eq!(c.pending(), 0, "the ring is emptied whatever the answer");
+            let stop = seen.iter().position(|&byte| probe(&[byte])).map_or(4, |i| i + 1);
+            assert_eq!(seen, [1, 2, 3, 4][..stop], "frames are tried in order, up to the hit");
+        }
+        assert!(!c.drain_any(|_| true), "an empty ring matches nothing");
+        assert_eq!(medium.stats().deliveries, 32);
     }
 
     #[test]

@@ -9,16 +9,15 @@ use zwave_radio::{FrameBuf, Medium, NoiseModel, SimClock};
 /// Operations driving both the real `FrameBuf` clone graph and a naive
 /// `Vec<u8>`-per-handle model that copies eagerly on clone. Decoded from
 /// a raw byte tuple `(tag, handle, idx, val)` so the generator needs no
-/// strategy combinators beyond tuples.
+/// strategy combinators beyond tuples. A frame never grows once built, so
+/// there is no append: the channel only flips bytes or cuts the frame.
 #[derive(Debug, Clone)]
 enum Op {
     /// Clone handle `src` onto the end of the handle list.
     Clone { src: usize },
     /// XOR a byte through `make_mut` on one handle.
     Flip { handle: usize, idx: usize, mask: u8 },
-    /// Append a byte through `make_mut` on one handle.
-    Push { handle: usize, byte: u8 },
-    /// Truncate one handle through `make_mut`.
+    /// Cut one handle to a prefix through `truncate`.
     Truncate { handle: usize, keep: usize },
     /// Drop a handle (frees a model copy; decrements the real refcount).
     Drop { handle: usize },
@@ -27,17 +26,16 @@ enum Op {
 fn decode_op((tag, handle, idx, val): (u8, u8, u8, u8)) -> Op {
     let handle = usize::from(handle);
     let idx = usize::from(idx);
-    match tag % 5 {
+    match tag % 4 {
         0 => Op::Clone { src: handle },
         1 => Op::Flip { handle, idx, mask: val.max(1) },
-        2 => Op::Push { handle, byte: val },
-        3 => Op::Truncate { handle, keep: idx },
+        2 => Op::Truncate { handle, keep: idx },
         _ => Op::Drop { handle },
     }
 }
 
 proptest! {
-    /// Any interleaving of clones and `make_mut` mutations leaves every
+    /// Any interleaving of clones, flips, cuts and drops leaves every
     /// live handle holding exactly the bytes the eager-copy model holds:
     /// mutating one handle is never visible through any other.
     #[test]
@@ -66,15 +64,11 @@ proptest! {
                         model[h][i] ^= mask;
                     }
                 }
-                Op::Push { handle, byte } => {
-                    let h = handle % real.len();
-                    real[h].make_mut().push(byte);
-                    model[h].push(byte);
-                }
                 Op::Truncate { handle, keep } => {
+                    // Past the end is a no-op, as on the model.
                     let h = handle % real.len();
-                    let keep = keep % (model[h].len() + 1);
-                    real[h].make_mut().truncate(keep);
+                    let keep = keep % (model[h].len() + 2);
+                    real[h].truncate(keep);
                     model[h].truncate(keep);
                 }
                 Op::Drop { handle } => {
@@ -101,6 +95,22 @@ proptest! {
         prop_assert_ne!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
         prop_assert_ne!(a.as_slice()[0], b.as_slice()[0]);
         prop_assert_eq!(&a.as_slice()[1..], &b.as_slice()[1..]);
+    }
+
+    /// A cut copies only the kept prefix into this handle; sharers keep
+    /// the whole frame at its old address.
+    #[test]
+    fn truncate_leaves_sharers_whole(
+        bytes in proptest::collection::vec(any::<u8>(), 1..48),
+        keep in any::<u8>(),
+    ) {
+        let a = FrameBuf::from(bytes.clone());
+        let mut b = a.clone();
+        let keep = usize::from(keep) % bytes.len();
+        b.truncate(keep);
+        prop_assert_eq!(b.as_slice(), &bytes[..keep]);
+        prop_assert_eq!(a.as_slice(), bytes.as_slice());
+        prop_assert_ne!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
     }
 }
 

@@ -211,7 +211,7 @@ fn recovery_storm_hops_event_to_event_on_the_adversarial_channel() {
     let clock = tb.clock().clone();
     let mut recoveries = 0;
     for trigger in TRIGGERS.iter().cycle().take(30) {
-        dongle.inject_apl(home, src, dst, trigger.to_vec());
+        dongle.inject_apl(home, src, dst, trigger);
         tb.pump();
         let deadline = clock.now().plus(Duration::from_secs(300));
         'wait: loop {
