@@ -192,13 +192,11 @@ impl Args {
     /// The hours `--hours` gives (or `default`) and their budget, which
     /// must fit the simulated clock's `u64` microseconds.
     pub fn hours(&self, default: f64) -> Result<(f64, Duration), CliError> {
-        // 2^64 as an f64; `u64::MAX as f64` rounds up to it.
-        const MICROS_LIMIT: f64 = 18_446_744_073_709_551_616.0;
         let hours = self.value(
             "--hours",
             default,
             "a finite number of hours >= 0 whose budget fits the simulated clock",
-            |v| v.parse::<f64>().ok().filter(|h| *h >= 0.0 && h * 3600.0 * 1e6 < MICROS_LIMIT),
+            |v| v.parse::<f64>().ok().filter(|h| budget_fits(h * 3600.0)),
         )?;
         Ok((hours, Duration::from_secs_f64(hours * 3600.0)))
     }
@@ -207,6 +205,14 @@ impl Args {
     pub fn out(&self, name: &str) -> Result<Option<&str>, CliError> {
         self.get(name).map(|path| probe(path).map(|()| path)).transpose()
     }
+}
+
+/// Whether `secs` is a campaign budget the simulated clock can hold:
+/// finite, >= 0, and under 2^64 µs. `--hours` and trace headers share it.
+pub(crate) fn budget_fits(secs: f64) -> bool {
+    // 2^64 as an f64; `u64::MAX as f64` rounds up to it.
+    const MICROS_LIMIT: f64 = 18_446_744_073_709_551_616.0;
+    secs >= 0.0 && secs * 1e6 < MICROS_LIMIT
 }
 
 /// This process's arguments after the program name.

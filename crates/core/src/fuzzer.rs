@@ -214,9 +214,8 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {}
 
-/// Per-campaign event counters, also usable as a self-counting
-/// [`TraceSink`]. The executor sums these across trials for the merged
-/// [`crate::TrialSummary`].
+/// Per-campaign event counters. The executor sums these across trials for
+/// the merged [`crate::TrialSummary`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignCounters {
     /// Fuzz packets injected (excluding liveness pings).
@@ -255,12 +254,8 @@ pub struct CampaignCounters {
     /// High-water mark of live events in the simulation kernel — across
     /// trials/homes the *maximum* is kept, not the sum (it is a mark).
     pub sched_peak_pending: u64,
-    /// Timers cancelled before firing (unlinked from the wheel in place).
+    /// Timers cancelled before firing.
     pub sched_cancelled: u64,
-    /// Kernel filings per timing-wheel level `[L0, L1, L2, L3, overflow]`,
-    /// including cascade re-filings — the occupancy profile that shows
-    /// which timer bands the campaign actually exercised.
-    pub sched_level_filings: [u64; zwave_radio::WHEEL_LEVELS + 1],
 }
 
 impl CampaignCounters {
@@ -284,9 +279,6 @@ impl CampaignCounters {
         self.attack_verdicts += other.attack_verdicts;
         self.sched_peak_pending = self.sched_peak_pending.max(other.sched_peak_pending);
         self.sched_cancelled += other.sched_cancelled;
-        for (level, filings) in self.sched_level_filings.iter_mut().enumerate() {
-            *filings += other.sched_level_filings[level];
-        }
     }
 
     /// Copies the channel-side tallies out of a [`MediumStats`] delta.
@@ -303,43 +295,6 @@ impl CampaignCounters {
     pub fn absorb_sched(&mut self, delta: &SchedStats) {
         self.sched_peak_pending = self.sched_peak_pending.max(delta.peak_pending);
         self.sched_cancelled += delta.cancelled;
-        for (level, filings) in self.sched_level_filings.iter_mut().enumerate() {
-            *filings += delta.level_filings[level];
-        }
-    }
-}
-
-impl TraceSink for CampaignCounters {
-    fn packet_sent(&mut self) {
-        self.packets_sent += 1;
-    }
-
-    fn plan_executed(&mut self) {
-        self.plans_executed += 1;
-    }
-
-    fn outage_observed(&mut self) {
-        self.outages_observed += 1;
-    }
-
-    fn finding(&mut self, _finding: &VulnFinding) {
-        self.findings += 1;
-    }
-
-    fn retransmission(&mut self) {
-        self.retransmissions += 1;
-    }
-
-    fn ack_timeout(&mut self) {
-        self.ack_timeouts += 1;
-    }
-
-    fn corpus_retained(&mut self, _new_edges: u64, _corpus_size: usize) {
-        self.retained_inputs += 1;
-    }
-
-    fn attack_frame(&mut self, _index: u64) {
-        self.attack_frames += 1;
     }
 }
 
@@ -420,7 +375,6 @@ struct CampaignState<'a, T: FuzzTarget> {
     mutator: Mutator,
     log: BugLog,
     trace: Vec<TraceEvent>,
-    packets: u64,
     counters: CampaignCounters,
     cmdcl_coverage: BTreeSet<u8>,
     cmd_coverage: BTreeSet<u8>,
@@ -490,7 +444,6 @@ impl Fuzzer {
             mutator: Mutator::new(self.config.seed, semantic),
             log: BugLog::new(),
             trace: Vec::new(),
-            packets: 0,
             counters: CampaignCounters::default(),
             cmdcl_coverage: BTreeSet::new(),
             cmd_coverage: BTreeSet::new(),
@@ -576,7 +529,7 @@ impl Fuzzer {
         state.counters.absorb_sched(&sched_delta);
 
         CampaignResult {
-            packets_sent: state.packets,
+            packets_sent: state.counters.packets_sent,
             findings: state.log.findings().to_vec(),
             trace: state.trace,
             cmdcl_coverage: state.cmdcl_coverage,
@@ -614,7 +567,7 @@ impl Fuzzer {
                                  before: u64| {
             let gained = state.target.coverage_edges().saturating_sub(before);
             if gained > 0 {
-                corpus.retain(payload.encode(), gained, state.packets);
+                corpus.retain(payload.encode(), gained, state.counters.packets_sent);
                 state.counters.retained_inputs += 1;
                 state.sink.corpus_retained(gained, corpus.len());
             }
@@ -688,9 +641,12 @@ impl Fuzzer {
         cc: CommandClassId,
     ) {
         let spec = Registry::global().get(cc);
-        let window_start_packets = state.packets;
-        let budget = PER_CMDCL_PACKETS;
+        let window_start_packets = state.counters.packets_sent;
         let clock = state.target.medium().clock().clone();
+        let window_spent = |state: &CampaignState<'_, T>| {
+            state.counters.packets_sent - window_start_packets >= PER_CMDCL_PACKETS
+                || clock.now() >= state.deadline
+        };
 
         let cmds = Self::command_candidates(spec);
 
@@ -705,7 +661,7 @@ impl Fuzzer {
         'window: for cmd in cmds {
             let mut hung = false;
             for params in plans_for(state, cmd) {
-                if state.packets - window_start_packets >= budget || clock.now() >= state.deadline {
+                if window_spent(state) {
                     break 'window;
                 }
                 let payload = ApplicationPayload::new(cc, cmd, params);
@@ -725,7 +681,7 @@ impl Fuzzer {
             // A short burst of random mutation from the seed payload.
             let mut payload = state.mutator.seed_payload(cc, cmd);
             for _ in 0..3 {
-                if state.packets - window_start_packets >= budget || clock.now() >= state.deadline {
+                if window_spent(state) {
                     break 'window;
                 }
                 state.mutator.mutate(&mut payload, spec);
@@ -738,7 +694,7 @@ impl Fuzzer {
         // Window tail: free-form mutation across the class.
         let mut payload = state.mutator.seed_payload(cc, 0x00);
         for _ in 0..EXTRA_RANDOM_PACKETS {
-            if state.packets - window_start_packets >= budget || clock.now() >= state.deadline {
+            if window_spent(state) {
                 break;
             }
             state.mutator.mutate(&mut payload, spec);
@@ -847,7 +803,6 @@ impl Fuzzer {
             state.counters.ack_timeouts += 1;
             state.sink.ack_timeout();
         }
-        state.packets += 1;
         state.counters.packets_sent += 1;
         state.sink.packet_sent();
         // Table V counts the generated bytes at the CMDCL/CMD positions.
@@ -867,10 +822,10 @@ impl Fuzzer {
             if fault.outage.is_some() {
                 outage_fired = true;
             }
-            if state.log.record(&fault, state.packets) {
+            if state.log.record(&fault, state.counters.packets_sent) {
                 state.trace.push(TraceEvent {
                     at: fault.at,
-                    packets: state.packets,
+                    packets: state.counters.packets_sent,
                     bug_id: Some(fault.bug_id),
                     edges: state.counters.edges_seen,
                 });
@@ -899,16 +854,7 @@ impl Fuzzer {
         // device) from "frame never arrived" (no fault observed: the
         // impaired channel ate the ping, so move on without burning 300 s
         // of recovery budget on a live controller).
-        let mut alive = PingOutcome::Unresponsive;
-        for _ in 0..3 {
-            state.dongle.send_ping(home, src, dst);
-            state.target.pump();
-            alive = state.dongle.check_ping(dst);
-            if alive == PingOutcome::Alive {
-                break;
-            }
-        }
-        if alive == PingOutcome::Unresponsive && outage_fired {
+        if !Self::ping_alive(state) && outage_fired {
             // Hop straight to the next scheduled event — normally the
             // controller's recovery wakeup — instead of stepping virtual
             // seconds one ping at a time. The 300 s cap bounds the wait
@@ -919,31 +865,37 @@ impl Fuzzer {
                 // Same 3-attempt retry as the liveness check above: the
                 // stepping loop was naturally loss-tolerant (a ping every
                 // second), a single ping per hop is not.
-                let mut recovered = PingOutcome::Unresponsive;
-                for _ in 0..3 {
-                    state.dongle.send_ping(home, src, dst);
-                    state.target.pump();
-                    recovered = state.dongle.check_ping(dst);
-                    if recovered == PingOutcome::Alive {
-                        break;
-                    }
-                }
-                if recovered == PingOutcome::Alive || !hopped {
+                if Self::ping_alive(state) || !hopped {
                     break;
                 }
             }
         }
 
         // Sample the timeline for Figure 12.
-        if !new_bug && state.packets.is_multiple_of(10) {
+        if !new_bug && state.counters.packets_sent.is_multiple_of(10) {
             state.trace.push(TraceEvent {
                 at: state.target.medium().clock().now(),
-                packets: state.packets,
+                packets: state.counters.packets_sent,
                 bug_id: None,
                 edges: state.counters.edges_seen,
             });
         }
         outage_fired
+    }
+
+    /// One liveness check: a NOP ping to the controller, sent up to three
+    /// times until it is acknowledged, so a lost frame is not mistaken for
+    /// an unresponsive target.
+    fn ping_alive<T: FuzzTarget>(state: &mut CampaignState<'_, T>) -> bool {
+        let scan = state.scan;
+        for _ in 0..3 {
+            state.dongle.send_ping(scan.home_id, scan.spoof_source(), scan.controller);
+            state.target.pump();
+            if state.dongle.check_ping(scan.controller) == PingOutcome::Alive {
+                return true;
+            }
+        }
+        false
     }
 }
 

@@ -99,14 +99,13 @@ fn json_escape(s: &str) -> String {
 }
 
 fn counters_json(c: &CampaignCounters) -> String {
-    let filings: Vec<String> = c.sched_level_filings.iter().map(u64::to_string).collect();
     format!(
         "{{\"packets_sent\":{},\"plans_executed\":{},\"outages_observed\":{},\"findings\":{},\
          \"losses\":{},\"duplicates\":{},\"reorders\":{},\"truncations\":{},\
          \"blackout_drops\":{},\"retransmissions\":{},\"ack_timeouts\":{},\
          \"edges_seen\":{},\"corpus_size\":{},\"retained_inputs\":{},\
          \"attack_frames\":{},\"attack_verdicts\":{},\"sched_peak_pending\":{},\
-         \"sched_cancelled\":{},\"sched_level_filings\":[{}]}}",
+         \"sched_cancelled\":{}}}",
         c.packets_sent,
         c.plans_executed,
         c.outages_observed,
@@ -124,8 +123,7 @@ fn counters_json(c: &CampaignCounters) -> String {
         c.attack_frames,
         c.attack_verdicts,
         c.sched_peak_pending,
-        c.sched_cancelled,
-        filings.join(",")
+        c.sched_cancelled
     )
 }
 

@@ -232,7 +232,7 @@ fn run_home(
     let seed = config.home_seed(home);
     let model = config.home_model(home);
     let mut net = match kernel {
-        // Recycle the shard's wheel + event arena instead of building a
+        // Recycle the shard's kernel and its event queue instead of building a
         // kernel per home; the simulation is bit-identical either way.
         Some(kernel) => HomeNetwork::new_recycled(model, config.topology, seed, kernel),
         None => HomeNetwork::new(model, config.topology, seed),
@@ -260,7 +260,7 @@ fn run_shard(config: &SweepConfig, shard: u64) -> Result<(ShardSummary, f64), (u
     let end = (first_home + config.shard_size.max(1)).min(config.homes);
     let started = Instant::now();
     let mut summary = ShardSummary::empty(shard, first_home);
-    // One wheel + arena per shard: the first home allocates it, every
+    // One kernel per shard: the first home allocates it, every
     // later home recycles it (reset, not reallocated).
     let mut kernel: Option<zwave_radio::SimScheduler> = None;
     for home in first_home..end {

@@ -168,10 +168,17 @@ impl TraceMeta {
             .ok_or_else(|| TraceError::Malformed("missing impairment".into()))?;
         let impairment = ImpairmentProfile::parse(&profile_name)
             .ok_or_else(|| TraceError::UnknownMeta(format!("impairment {profile_name}")))?;
-        let budget_s: f64 = field(line, "budget_s")
-            .ok_or_else(|| TraceError::Malformed("missing budget_s".into()))?
+        let budget_text = field(line, "budget_s")
+            .ok_or_else(|| TraceError::Malformed("missing budget_s".into()))?;
+        let budget_s: f64 = budget_text
             .parse()
             .map_err(|_| TraceError::Malformed("non-numeric budget_s".into()))?;
+        if !crate::cli::budget_fits(budget_s) {
+            return Err(TraceError::Malformed(format!(
+                "budget_s {budget_text} is not a finite number of seconds >= 0 that fits the \
+                 simulated clock"
+            )));
+        }
         // Absent on pre-scenario traces: those trials ran without an
         // adversary station.
         let scenario = match field(line, "scenario") {

@@ -129,7 +129,7 @@ impl TraceStats {
     }
 
     /// Timers the id sequence proves were scheduled but that never fired
-    /// in the journal: cancelled in the wheel or still pending at end.
+    /// in the journal: cancelled or still pending at end.
     pub fn timers_unfired(&self) -> u64 {
         self.timers_scheduled.saturating_sub(self.sched_timers)
     }
@@ -296,7 +296,7 @@ mod tests {
         assert_eq!(stats.sched_frames, 1);
         assert_eq!(stats.sched_timers, 1);
         // Timer id 3 fired, so ids 0..=3 were issued and three of them
-        // never surfaced: cancelled in the wheel or pending at end.
+        // never surfaced: cancelled or pending at end.
         assert_eq!(stats.timers_scheduled, 4);
         assert_eq!(stats.timers_unfired(), 3);
         assert_eq!(stats.sched_blackouts, 1);

@@ -331,6 +331,37 @@ fn out_of_range_hours_exit_2_naming_flag_and_value() {
 }
 
 #[test]
+fn out_of_range_header_budgets_exit_2_naming_the_field() {
+    // The trace header's `budget_s` is held to the `--hours` bound: each
+    // value parses as an f64 but is no budget the simulated clock can
+    // hold, and every trace-reading subcommand must reject it cleanly.
+    let dir = tmp_dir("header_budget");
+    for value in ["-1", "NaN", "inf", "1e300"] {
+        let path = dir.join(format!("budget_{value}.jsonl"));
+        let header = format!(
+            "{{\"zcover_trace\":1,\"device\":\"D1\",\"seed\":11,\"config\":\"full\",\
+             \"impairment\":\"clean\",\"budget_s\":{value}}}\n"
+        );
+        std::fs::write(&path, header).expect("write trace");
+        let path = path.to_str().expect("utf-8 path");
+        for command in
+            [&["trace", "export", path][..], &["trace", "stats", path], &["replay", path]]
+        {
+            let out = zcover(command);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("line 1: budget_s {value} ")),
+                "{command:?}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{stderr}");
+            assert!(out.stdout.is_empty(), "{command:?} printed output");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_failing_trial_exits_1_naming_the_trial() {
     // Trial 66 shares its seed with sweep home 66 above: D4 gets no NIF
     // reply under the lossy profile, and the 66 trials before it pass.

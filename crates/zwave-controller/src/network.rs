@@ -54,7 +54,7 @@ impl HomeNetwork {
     }
 
     /// Like [`HomeNetwork::new`], but driven by a recycled scheduler
-    /// kernel: the wheel + event arena of a finished home are rebound to a
+    /// kernel: the event queue of a finished home is rebound to a
     /// fresh clock and reused, so a sweep shard allocates its kernel once
     /// instead of once per home. The simulation is bit-identical either
     /// way — the kernel's event identity (sequence numbers, timer ids)

@@ -45,9 +45,7 @@ pub use impairment::{GilbertElliott, ImpairmentProfile, ImpairmentSchedule, Impa
 pub use medium::{Medium, MediumStats, RxFrame, Transceiver, RX_QUEUE_CAP};
 pub use noise::NoiseModel;
 pub use region::Region;
-pub use sched::{
-    Delivery, Event, EventKind, EventObserver, SchedStats, SimScheduler, TimerToken, WHEEL_LEVELS,
-};
+pub use sched::{Delivery, Event, EventKind, EventObserver, SchedStats, SimScheduler, TimerToken};
 pub use sniffer::Sniffer;
 
 /// The splitmix64 output function: advances `z` by the golden-ratio

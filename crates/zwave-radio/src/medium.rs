@@ -202,7 +202,7 @@ impl Medium {
 
     /// Creates a clean medium driven by an existing (typically recycled)
     /// scheduler kernel; the medium runs on the kernel's clock. Sweep
-    /// shards use this to reuse one wheel + arena across the homes they
+    /// shards use this to reuse one kernel and its queue across the homes they
     /// step instead of reallocating per home.
     pub fn with_recycled(seed: u64, sched: SimScheduler) -> Self {
         Medium::with_scheduler(seed, NoiseModel::clean(), sched)

@@ -1,7 +1,7 @@
 //! Edge-case coverage for the `SimScheduler` event kernel and the medium's
 //! blackout machinery layered on top of it: cancel-after-fire and stale
-//! tokens, same-instant timer vs. frame ordering, overflow release across
-//! the wheel's top-level span, and the generation guard that keeps stale
+//! tokens, same-instant timer vs. frame ordering, release across the 2^37 µs
+//! (≈ 38 h) boundary, and the generation guard that keeps stale
 //! blackout events from a replaced impairment profile from toggling the
 //! channel.
 
@@ -168,14 +168,14 @@ fn earlier_instant_beats_earlier_sequence_number() {
     assert_eq!(sched.pop_due(at(100)).expect("timer second").kind, EventKind::Timer(late_timer));
 }
 
-/// An event just past the wheel's top-level span parks in the overflow
-/// list; draining the last L0 slot of the first region must carry the
-/// horizon far enough to release it, in instant order.
+/// Events on both sides of the 2^37 µs boundary release in instant order
+/// (a regression case from the timing-wheel kernel, whose top level ended
+/// there and parked later events on an overflow list).
 #[test]
 fn overflow_node_whose_region_the_horizon_reaches_via_l0_drain() {
     let region = 1u64 << 37;
     let sched = SimScheduler::new(SimClock::new());
-    // A: last L0 slot of region 0; B: just inside region 1 (overflow).
+    // A: just before the boundary; B: just past it.
     sched.schedule(at(region - 500), 0, EventKind::FrameArrival(Vec::new()));
     sched.schedule(at(region + 10), 1, EventKind::FrameArrival(Vec::new()));
     let a = sched.pop_due(at(u64::MAX / 2)).expect("A releases");
@@ -184,8 +184,8 @@ fn overflow_node_whose_region_the_horizon_reaches_via_l0_drain() {
     assert_eq!(b.at.as_micros(), region + 10);
 }
 
-/// Once the horizon has drained into the overflow node's region, an event
-/// scheduled later in that region must not overtake it.
+/// An event scheduled past the boundary after the first release must not
+/// overtake one queued there earlier.
 #[test]
 fn overflow_node_is_not_overtaken_by_a_later_event_in_its_region() {
     let region = 1u64 << 37;

@@ -9,6 +9,9 @@
 //! ```text
 //! cargo run --release --bin zcover -- fuzz --device D1 --hours 0.25 \
 //!     --seed 3 --format json > tests/golden_json/fuzz_d1_seed3.json
+//! cargo run --release --bin zcover -- fuzz --device D1 --hours 0.02 \
+//!     --seed 3 --scenario s0-no-more --format json \
+//!     > tests/golden_json/fuzz_d1_s0nomore_seed3.json
 //! cargo run --release --bin zcover -- trials --device D1 --trials 2 \
 //!     --seed 7 --hours 0.25 --format json > tests/golden_json/trials_d1_seed7.json
 //! cargo run --release --bin zcover -- sweep --homes 6 --topology line \
@@ -111,7 +114,6 @@ fn golden_snapshots_announce_their_schema() {
         "\"attack_verdicts\":",
         "\"sched_peak_pending\":",
         "\"sched_cancelled\":",
-        "\"sched_level_filings\":",
         "\"findings\":",
         "\"bug_id\":",
         "\"root_cause\":",
