@@ -8,8 +8,8 @@
 //! oracle verdict — as structured [`Record`]s. Because the whole
 //! simulation is a pure function of `(device, seed, config, impairment)`,
 //! the trace header alone suffices to re-execute the trial: [`replay`]
-//! reruns it with a fresh recorder and diffs the two journals event by
-//! event, reporting the *first divergence* with surrounding context. A
+//! reruns it and compares each record against the recording as the re-run
+//! emits it, reporting the *first divergence* with surrounding context. A
 //! regression anywhere in the stack — scheduler ordering, impairment RNG
 //! streams, mutator draw order, oracle timing — therefore surfaces as a
 //! precise `(event index, virtual time)` instead of a silently different
@@ -331,12 +331,17 @@ impl Trace {
 
     /// The virtual timestamp recorded on event `index`, if present.
     pub fn at_us(&self, index: usize) -> Option<u64> {
-        let record = self.events.get(index)?;
-        record.at_us().or_else(|| match record {
-            Record::Raw(line) => lines::field(line, "at_us").and_then(|v| v.parse().ok()),
-            _ => None,
-        })
+        self.events.get(index).and_then(event_at_us)
     }
+}
+
+/// The virtual timestamp a record carries; a [`Record::Raw`] line is read
+/// for an `at_us` field.
+fn event_at_us(record: &Record) -> Option<u64> {
+    record.at_us().or_else(|| match record {
+        Record::Raw(line) => lines::field(line, "at_us").and_then(|v| v.parse().ok()),
+        _ => None,
+    })
 }
 
 /// Best-effort header summary of raw trace bytes, for error paths: even
@@ -439,15 +444,21 @@ impl TraceRecorder {
     /// Detaches the scheduler hook, appends the summary footer, and
     /// returns the finished trace.
     pub fn finish(self, result: &CampaignResult) -> Trace {
-        self.medium.scheduler().set_observer(None);
+        let end = self.close(result);
         let mut events = self.journal.records.take();
-        events.push(Record::End {
+        events.push(end);
+        Trace { meta: self.meta, events }
+    }
+
+    /// Detaches the scheduler hook and builds the summary footer record.
+    fn close(&self, result: &CampaignResult) -> Record {
+        self.medium.scheduler().set_observer(None);
+        Record::End {
             at_us: result.ended.as_micros(),
             packets: result.packets_sent,
             findings: result.unique_vulns() as u64,
             sched_events: self.medium.scheduler().events_processed(),
-        });
-        Trace { meta: self.meta, events }
+        }
     }
 }
 
@@ -503,11 +514,10 @@ pub struct RecordedCampaign {
 }
 
 /// Runs the full three-phase pipeline on `target` with a recorder
-/// attached, the header naming `device` (`D1`..`D7`). This is the only
-/// place a [`TraceRecorder`] is attached: `zcover fuzz --record`,
-/// per-trial and per-home recording, and [`replay`] all journal through
-/// it, so a recorded trace and its replay journal the exact same
-/// execution.
+/// attached, the header naming `device` (`D1`..`D7`). `zcover fuzz
+/// --record`, per-trial and per-home recording journal through it, and
+/// [`replay`] re-runs through the same private path, so a recorded trace
+/// and its replay journal the exact same execution.
 ///
 /// # Errors
 ///
@@ -517,11 +527,24 @@ pub fn record_on<T: FuzzTarget>(
     device: &str,
     config: FuzzConfig,
 ) -> Result<RecordedCampaign, ZCoverError> {
-    let mut recorder = TraceRecorder::attach(target.medium(), TraceMeta::new(device, &config));
-    let mut zcover = ZCover::attach(target, 70.0);
-    let report = zcover.run_campaign_with_sink(target, config, &mut recorder)?;
+    let (recorder, report) = journaled(target, device, config, |recorder| recorder)?;
     let trace = recorder.finish(&report.campaign);
     Ok(RecordedCampaign { trace, report })
+}
+
+/// The only place a [`TraceRecorder`] is attached: hooks one onto
+/// `target`, hands it to `sink` (the recorder itself, or [`replay`]'s
+/// comparator around it), and runs the pipeline with that sink.
+fn journaled<T: FuzzTarget, S: TraceSink>(
+    target: &mut T,
+    device: &str,
+    config: FuzzConfig,
+    sink: impl FnOnce(TraceRecorder) -> S,
+) -> Result<(S, ZCoverReport), ZCoverError> {
+    let mut sink = sink(TraceRecorder::attach(target.medium(), TraceMeta::new(device, &config)));
+    let mut zcover = ZCover::attach(target, 70.0);
+    let report = zcover.run_campaign_with_sink(target, config, &mut sink)?;
+    Ok((sink, report))
 }
 
 /// [`record_on`] a fresh flat testbed of `model`. `config_name` must be
@@ -631,38 +654,138 @@ impl ReplayReport {
     }
 }
 
-/// Diffs two event streams, reporting the first differing index.
-pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> ReplayReport {
-    let n = recorded.events.len().max(replayed.events.len());
-    for index in 0..n {
-        let expected = recorded.events.get(index);
-        let actual = replayed.events.get(index);
-        if expected == actual {
-            continue;
-        }
-        let context_from = index.saturating_sub(3);
-        let at_us = recorded.at_us(index).or_else(|| replayed.at_us(index));
-        return ReplayReport {
-            recorded_events: recorded.events.len(),
-            replayed_events: replayed.events.len(),
-            divergence: Some(Divergence {
-                index,
-                at_us,
-                expected: expected.map(lines::render),
-                actual: actual.map(lines::render),
-                context: recorded.events[context_from..index].iter().map(lines::render).collect(),
-            }),
-        };
+/// Compares a stream of records, fed one at a time, against a recorded
+/// trace. It keeps the first [`Divergence`] and from then on only counts,
+/// so it holds no record of the stream it is fed.
+struct Comparator<'a> {
+    recorded: &'a [Record],
+    /// Records fed so far.
+    fed: usize,
+    divergence: Option<Divergence>,
+}
+
+impl<'a> Comparator<'a> {
+    fn new(recorded: &'a Trace) -> Comparator<'a> {
+        Comparator { recorded: &recorded.events, fed: 0, divergence: None }
     }
-    ReplayReport {
-        recorded_events: recorded.events.len(),
-        replayed_events: replayed.events.len(),
-        divergence: None,
+
+    /// Compares `actual` with the recorded event at the same index.
+    fn push(&mut self, actual: &Record) {
+        let index = self.fed;
+        self.fed += 1;
+        if self.divergence.is_none() && self.recorded.get(index) != Some(actual) {
+            self.diverge(index, Some(actual));
+        }
+    }
+
+    /// The divergence at `index`, where the fed stream holds `actual`
+    /// (`None`: the stream ended there). The virtual time is the recorded
+    /// event's when it has one, else the fed event's.
+    fn diverge(&mut self, index: usize, actual: Option<&Record>) {
+        let expected = self.recorded.get(index);
+        self.divergence = Some(Divergence {
+            index,
+            at_us: expected.and_then(event_at_us).or_else(|| actual.and_then(event_at_us)),
+            expected: expected.map(lines::render),
+            actual: actual.map(lines::render),
+            context: self.recorded[index.saturating_sub(3)..index]
+                .iter()
+                .map(lines::render)
+                .collect(),
+        });
+    }
+
+    /// The verdict once the stream has ended: a stream shorter than the
+    /// recording diverges at its end.
+    fn finish(mut self) -> ReplayReport {
+        if self.divergence.is_none() && self.fed < self.recorded.len() {
+            self.diverge(self.fed, None);
+        }
+        ReplayReport {
+            recorded_events: self.recorded.len(),
+            replayed_events: self.fed,
+            divergence: self.divergence,
+        }
     }
 }
 
-/// Re-executes the trial described by `recorded`'s header and diffs the
-/// fresh journal against the recorded one.
+/// [`replay`]'s campaign sink: forwards every callback to the re-run's
+/// recorder, then compares the records the journal holds (the scheduler
+/// events dequeued since the last callback, then the callback's own) and
+/// drops them. Only the records between two callbacks are ever pending.
+struct ReplayComparator<'a> {
+    recorder: TraceRecorder,
+    comparator: Comparator<'a>,
+}
+
+impl ReplayComparator<'_> {
+    fn forward(&mut self, callback: impl FnOnce(&mut TraceRecorder)) {
+        callback(&mut self.recorder);
+        for record in self.recorder.journal.records.borrow_mut().drain(..) {
+            self.comparator.push(&record);
+        }
+    }
+
+    /// Compares the footer [`TraceRecorder::finish`] would append, then
+    /// returns the verdict.
+    fn finish(mut self, result: &CampaignResult) -> ReplayReport {
+        let end = self.recorder.close(result);
+        self.forward(|recorder| recorder.journal.push(end));
+        self.comparator.finish()
+    }
+}
+
+impl TraceSink for ReplayComparator<'_> {
+    fn packet_sent(&mut self) {
+        self.forward(TraceRecorder::packet_sent);
+    }
+
+    fn plan_executed(&mut self) {
+        self.forward(TraceRecorder::plan_executed);
+    }
+
+    fn outage_observed(&mut self) {
+        self.forward(TraceRecorder::outage_observed);
+    }
+
+    fn finding(&mut self, finding: &VulnFinding) {
+        self.forward(|recorder| recorder.finding(finding));
+    }
+
+    fn retransmission(&mut self) {
+        self.forward(TraceRecorder::retransmission);
+    }
+
+    fn ack_timeout(&mut self) {
+        self.forward(TraceRecorder::ack_timeout);
+    }
+
+    fn corpus_retained(&mut self, new_edges: u64, corpus_size: usize) {
+        self.forward(|recorder| recorder.corpus_retained(new_edges, corpus_size));
+    }
+
+    fn attack_frame(&mut self, index: u64) {
+        self.forward(|recorder| recorder.attack_frame(index));
+    }
+}
+
+/// Diffs two event streams, reporting the first differing index. This is
+/// [`replay`]'s comparator fed from `replayed`'s events, so both report
+/// alike.
+pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> ReplayReport {
+    let mut comparator = Comparator::new(recorded);
+    for record in &replayed.events {
+        comparator.push(record);
+    }
+    comparator.finish()
+}
+
+/// Re-executes the trial described by `recorded`'s header and compares
+/// each journal record against the recorded one as the re-run emits it.
+/// The re-run's journal is never kept whole: replay holds the recorded
+/// trace, the re-executed home, and the records between two fuzzer
+/// callbacks. The report equals [`diff_traces`] of `recorded` against a
+/// fresh recording.
 ///
 /// # Errors
 ///
@@ -672,9 +795,12 @@ pub fn diff_traces(recorded: &Trace, replayed: &Trace) -> ReplayReport {
 pub fn replay(recorded: &Trace) -> Result<ReplayReport, TraceError> {
     let model = recorded.meta.model()?;
     let config = recorded.meta.fuzz_config()?;
-    let rerun =
-        record_campaign(model, &recorded.meta.config, config).map_err(TraceError::Replay)?;
-    Ok(diff_traces(recorded, &rerun.trace))
+    let mut testbed = Testbed::new(model, config.seed);
+    let (sink, report) = journaled(&mut testbed, model.idx(), config, |recorder| {
+        ReplayComparator { recorder, comparator: Comparator::new(recorded) }
+    })
+    .map_err(TraceError::Replay)?;
+    Ok(sink.finish(&report.campaign))
 }
 
 #[cfg(test)]

@@ -41,6 +41,22 @@ pub fn decode_block(
     cursor: &mut Cursor<'_>,
     intern: &InternTable,
 ) -> Result<Vec<Record>, ZctError> {
+    let mut records = Vec::new();
+    decode_block_into(cursor, intern, &mut records)?;
+    Ok(records)
+}
+
+/// [`decode_block`], appending the block's records to `out`, so a whole
+/// stream decodes into one buffer.
+///
+/// # Errors
+///
+/// As [`decode_block`]. On error `out` may hold part of the block.
+pub fn decode_block_into(
+    cursor: &mut Cursor<'_>,
+    intern: &InternTable,
+    out: &mut Vec<Record>,
+) -> Result<(), ZctError> {
     let start = cursor.offset();
     let count = cursor.u64("block count")?;
     let payload_len = cursor.u64("block payload length")?;
@@ -71,9 +87,9 @@ pub fn decode_block(
     }
     let mut inner = Cursor::new(payload, payload_offset);
     let mut ctx = DeltaCtx::default();
-    let mut records = Vec::with_capacity(count as usize);
+    out.reserve(count as usize);
     for _ in 0..count {
-        records.push(decode_record(&mut inner, &mut ctx, intern)?);
+        out.push(decode_record(&mut inner, &mut ctx, intern)?);
     }
     if !inner.is_empty() {
         return Err(ZctError::malformed(
@@ -81,7 +97,7 @@ pub fn decode_block(
             format!("{} trailing bytes after the block's last record", inner.remaining()),
         ));
     }
-    Ok(records)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! [`ZctTrace`] parses the frame eagerly (header, index, CRCs) but
 //! decodes blocks lazily.
 
-use crate::block::{decode_block, encode_block};
+use crate::block::{decode_block_into, encode_block};
 use crate::crc::crc32;
 use crate::intern::InternTable;
 use crate::record::Record;
@@ -394,24 +394,29 @@ impl ZctTrace {
     /// [`ZctError::Malformed`] when the block region is damaged or `b` is
     /// out of range.
     pub fn block(&self, b: usize) -> Result<Vec<Record>, ZctError> {
+        let mut records = Vec::new();
+        self.block_into(b, &mut records)?;
+        Ok(records)
+    }
+
+    /// [`ZctTrace::block`], appending the records to `out`.
+    fn block_into(&self, b: usize, out: &mut Vec<Record>) -> Result<(), ZctError> {
         let entry = self
             .index
             .get(b)
             .ok_or_else(|| ZctError::malformed(0, format!("block {b} out of range")))?;
         let framed = &self.bytes[entry.offset as usize..self.blocks_end as usize];
         let mut cursor = Cursor::new(framed, entry.offset);
-        let records = decode_block(&mut cursor, &self.intern)?;
-        if records.len() as u64 != entry.count {
+        let before = out.len();
+        decode_block_into(&mut cursor, &self.intern, out)?;
+        let decoded = out.len() - before;
+        if decoded as u64 != entry.count {
             return Err(ZctError::malformed(
                 entry.offset,
-                format!(
-                    "block {b} holds {} records but the index says {}",
-                    records.len(),
-                    entry.count
-                ),
+                format!("block {b} holds {decoded} records but the index says {}", entry.count),
             ));
         }
-        Ok(records)
+        Ok(())
     }
 
     /// The framed bytes of block `b` (count, length, CRC, payload) —
@@ -449,7 +454,7 @@ impl ZctTrace {
     pub fn records(&self) -> Result<Vec<Record>, ZctError> {
         let mut out = Vec::with_capacity(self.total as usize);
         for b in 0..self.index.len() {
-            out.extend(self.block(b)?);
+            self.block_into(b, &mut out)?;
         }
         Ok(out)
     }

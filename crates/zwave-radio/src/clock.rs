@@ -38,10 +38,13 @@ impl SimInstant {
         Duration::from_micros(self.0.saturating_sub(earlier.0))
     }
 
-    /// This instant advanced by `d`.
+    /// This instant advanced by `d`, saturating at the last instant: a
+    /// deadline past the end of time means "no deadline", never one that
+    /// wraps round to the past.
     #[must_use]
     pub fn plus(self, d: Duration) -> SimInstant {
-        SimInstant(self.0 + d.as_micros() as u64)
+        let micros = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        SimInstant(self.0.saturating_add(micros))
     }
 }
 
@@ -131,6 +134,17 @@ mod tests {
         let late = SimInstant(10);
         assert_eq!(early.duration_since(late), Duration::ZERO);
         assert_eq!(late.duration_since(early), Duration::from_micros(5));
+    }
+
+    #[test]
+    fn plus_saturates_at_the_last_instant() {
+        let near_end = SimInstant(u64::MAX - 1);
+        assert_eq!(near_end.plus(Duration::from_micros(1)), SimInstant(u64::MAX));
+        assert_eq!(near_end.plus(Duration::from_micros(2)), SimInstant(u64::MAX));
+        assert_eq!(near_end.plus(Duration::from_secs(3600)), SimInstant(u64::MAX));
+        // A duration whose microseconds overflow u64 saturates too.
+        assert_eq!(SimInstant::ZERO.plus(Duration::MAX), SimInstant(u64::MAX));
+        assert_eq!(SimInstant(7).plus(Duration::from_micros(3)), SimInstant(10));
     }
 
     #[test]

@@ -15,10 +15,23 @@ use std::path::{Path, PathBuf};
 use zcover_suite::zcover::{
     diff_traces, record_campaign, replay, CampaignExecutor, FuzzConfig, Record, Trace, TraceSpec,
 };
-use zcover_suite::zwave_controller::testbed::Testbed;
+use zcover_suite::zwave_controller::testbed::{DeviceModel, Testbed};
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_traces")
+}
+
+/// The campaign `trace`'s header describes, recorded afresh.
+fn fresh_recording(trace: &Trace) -> Trace {
+    let model = DeviceModel::all()
+        .into_iter()
+        .find(|m| m.idx() == trace.meta.device)
+        .expect("golden names a known device");
+    let config = FuzzConfig::named(&trace.meta.config, trace.meta.budget, trace.meta.seed)
+        .expect("golden names a known config")
+        .with_impairment(trace.meta.impairment)
+        .with_scenario(trace.meta.scenario);
+    record_campaign(model, &trace.meta.config, config).expect("records").trace
 }
 
 const GOLDENS: [&str; 7] = [
@@ -50,16 +63,7 @@ fn golden_traces_are_byte_identical_to_a_fresh_recording() {
         let path = golden_dir().join(name);
         let golden_text = std::fs::read_to_string(&path).expect(name);
         let golden = Trace::from_jsonl(&golden_text).expect(name);
-        let model = zcover_suite::zwave_controller::testbed::DeviceModel::all()
-            .into_iter()
-            .find(|m| m.idx() == golden.meta.device)
-            .expect("golden names a known device");
-        let config = FuzzConfig::named(&golden.meta.config, golden.meta.budget, golden.meta.seed)
-            .expect("golden names a known config")
-            .with_impairment(golden.meta.impairment)
-            .with_scenario(golden.meta.scenario);
-        let fresh = record_campaign(model, &golden.meta.config, config).expect(name);
-        assert_eq!(fresh.trace.to_jsonl(), golden_text, "{name}: journal drifted");
+        assert_eq!(fresh_recording(&golden).to_jsonl(), golden_text, "{name}: journal drifted");
     }
 }
 
@@ -142,6 +146,61 @@ fn mid_stream_divergence_carries_context_lines() {
 }
 
 #[test]
+fn streaming_replay_matches_a_full_rerun_diff() {
+    // `replay` compares each record as the re-run emits it; diffing a
+    // whole fresh recording must give the identical report, clean or at
+    // the perturbed index.
+    let mut cases = Vec::new();
+    for name in GOLDENS.iter().copied().chain(["d1_seed5_clean.zct"]) {
+        cases.push((name.to_string(), Trace::load(&golden_dir().join(name)).expect(name), None));
+    }
+    let golden = Trace::load(&golden_dir().join("d1_seed11_lossy.jsonl")).expect("golden");
+    let first_callback = golden
+        .events
+        .iter()
+        .position(|e| !matches!(e, Record::Sched { .. }))
+        .expect("the campaign journals fuzzer events");
+    assert!(first_callback > 2, "recon prefix of {first_callback} events is too short");
+    let last = golden.events.len() - 1;
+    let mut perturb = |what: &str, diverges_at: usize, change: &dyn Fn(&mut Vec<Record>)| {
+        let mut trace = golden.clone();
+        change(&mut trace.events);
+        cases.push((format!("lossy golden, {what}"), trace, Some(diverges_at)));
+    };
+    let nudge = |index: usize| {
+        move |events: &mut Vec<Record>| match &mut events[index] {
+            Record::Sched { at_us, .. } | Record::Fuzz { at_us, .. } => *at_us += 1,
+            Record::End { packets, .. } => *packets += 1,
+            other => panic!("unexpected record at {index}: {other:?}"),
+        }
+    };
+    let recon = first_callback / 2;
+    let mid = golden.events.len() / 2;
+    perturb("divergent at event 0", 0, &nudge(0));
+    perturb("divergent in the recon prefix", recon, &nudge(recon));
+    perturb("divergent mid-campaign", mid, &nudge(mid));
+    perturb("divergent at the end record", last, &nudge(last));
+    perturb("truncated", last / 2, &|events| events.truncate(last / 2));
+    perturb("extended", last + 1, &|events| {
+        events.push(Record::Fuzz { at_us: 1, ev: "packet".to_string() })
+    });
+    perturb("raw record with a time", last / 3, &|events| {
+        events[last / 3] = Record::Raw("{\"t\":\"future\",\"at_us\":77}".to_string())
+    });
+    perturb("raw record without a time", last / 3, &|events| {
+        events[last / 3] = Record::Raw("{\"t\":\"future\"}".to_string())
+    });
+
+    for (name, trace, diverges_at) in &cases {
+        let streamed = replay(trace).expect(name);
+        let diffed = diff_traces(trace, &fresh_recording(trace));
+        assert_eq!(streamed, diffed, "{name}");
+        let index = streamed.divergence.as_ref().map(|d| d.index);
+        assert_eq!(index, *diverges_at, "{name}:\n{}", streamed.render());
+    }
+}
+
+#[test]
 fn executor_recorded_trials_are_worker_count_independent() {
     // Each worker records its claimed trials into per-trial files; the
     // files must be byte-identical whether one worker or four ran them —
@@ -157,7 +216,7 @@ fn executor_recorded_trials_are_worker_count_independent() {
                 device: "D1".to_string(),
                 prefix: tmp.join(format!("{config_name}_{tag}")),
             };
-            let model = zcover_suite::zwave_controller::testbed::DeviceModel::D1;
+            let model = DeviceModel::D1;
             CampaignExecutor::new(workers)
                 .run_with_trace(3, 5, |seed| Testbed::new(model, seed), &config, Some(&spec))
                 .expect("trials run");
