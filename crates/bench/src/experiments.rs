@@ -131,7 +131,7 @@ pub fn table3(
 
 /// One Table IV row: device idx, home id, controller node, known CMDCL
 /// count, unknown CMDCL count.
-pub type Table4Row = (String, String, String, usize, usize);
+pub(crate) type Table4Row = (String, String, String, usize, usize);
 
 /// Runs fingerprinting + discovery (no fuzzing) on every controller,
 /// seeding each testbed from `seed` (the discovered properties are
@@ -178,7 +178,7 @@ pub fn table4(seed: u64) -> (Vec<Table4Row>, String) {
 
 /// One Table V row: device idx, then mean CMDCL coverage / CMD coverage /
 /// unique vulns for VFuzz and for ZCover across the trials.
-pub type Table5Row = (String, f64, f64, f64, f64, f64, f64);
+pub(crate) type Table5Row = (String, f64, f64, f64, f64, f64, f64);
 
 /// Runs both fuzzers on D1-D5 over `trials` independently-seeded campaigns
 /// and tabulates mean coverage and findings. Both columns go through the
@@ -347,7 +347,7 @@ pub fn table6_extended(
 
 /// The 16 selected command classes whose command-count distribution the
 /// paper visualises.
-pub const FIGURE5_SELECTION: [u8; 16] = [
+pub(crate) const FIGURE5_SELECTION: [u8; 16] = [
     0x34, 0x9F, 0x67, 0x4D, 0x86, 0x85, 0x59, 0x84, 0x55, 0x73, 0x20, 0x6C, 0x5E, 0x56, 0x5A, 0x00,
 ];
 

@@ -3,7 +3,7 @@
 
 /// One Table III row as reported by the paper.
 #[derive(Debug, Clone, Copy)]
-pub struct PaperBug {
+pub(crate) struct PaperBug {
     /// Bug id (1-15).
     pub id: u8,
     /// Affected devices as reported.
@@ -23,7 +23,7 @@ pub struct PaperBug {
 }
 
 /// Table III of the paper.
-pub const TABLE3: [PaperBug; 15] = [
+pub(crate) const TABLE3: [PaperBug; 15] = [
     PaperBug {
         id: 1,
         affected: "D1 - D7",
@@ -176,13 +176,8 @@ pub const TABLE3: [PaperBug; 15] = [
     },
 ];
 
-/// Looks up the paper row for a bug id.
-pub fn paper_bug(id: u8) -> Option<&'static PaperBug> {
-    TABLE3.iter().find(|b| b.id == id)
-}
-
 /// Table IV as reported: (idx, home id, node id, known, unknown).
-pub const TABLE4: [(&str, u32, u8, usize, usize); 7] = [
+pub(crate) const TABLE4: [(&str, u32, u8, usize, usize); 7] = [
     ("D1", 0xE7DE3F3D, 0x01, 17, 28),
     ("D2", 0xCD007171, 0x01, 17, 28),
     ("D3", 0xCB51722D, 0x01, 15, 30),
@@ -194,21 +189,21 @@ pub const TABLE4: [(&str, u32, u8, usize, usize); 7] = [
 
 /// Table V as reported: (idx, vfuzz #vul, zcover #vul). Coverage columns
 /// are constant: VFuzz 256/256, ZCover 45/53.
-pub const TABLE5: [(&str, usize, usize); 5] =
+pub(crate) const TABLE5: [(&str, usize, usize); 5] =
     [("D1", 1, 15), ("D2", 3, 15), ("D3", 0, 15), ("D4", 4, 15), ("D5", 0, 15)];
 
 /// Table VI as reported: (configuration, #vul in one hour on D1).
-pub const TABLE6: [(&str, usize); 3] = [
+pub(crate) const TABLE6: [(&str, usize); 3] = [
     ("ZCover full (Known + Unknown CMDCLs + Position-Sensitive Mutation)", 15),
     ("ZCover beta (Known CMDCLs Only + Position-Sensitive Mutation)", 8),
     ("ZCover gamma (Random CMDCLs + No Position-Sensitive Mutation)", 6),
 ];
 
 /// Figure 5's command-count series (16 bars).
-pub const FIGURE5_SERIES: [usize; 16] = [23, 15, 11, 10, 8, 7, 6, 6, 5, 4, 3, 2, 2, 1, 1, 0];
+pub(crate) const FIGURE5_SERIES: [usize; 16] = [23, 15, 11, 10, 8, 7, 6, 6, 5, 4, 3, 2, 2, 1, 1, 0];
 
 /// Table II rows: (idx, brand, type, model (year), encryption support).
-pub const TABLE2: [(&str, &str, &str, &str, &str); 9] = [
+pub(crate) const TABLE2: [(&str, &str, &str, &str, &str); 9] = [
     ("D1", "ZooZ", "Controller", "ZST10 (2022)", "Yes"),
     ("D2", "SiLab", "Controller", "UZB-7 (2019)", "Yes"),
     ("D3", "Nortek", "Controller", "HUSBZB-1 (2015)", "Yes"),
@@ -229,8 +224,7 @@ mod tests {
         assert_eq!(TABLE3.len(), 15);
         let cves = TABLE3.iter().filter(|b| b.confirmed.starts_with("CVE-")).count();
         assert_eq!(cves, 12);
-        assert!(paper_bug(7).unwrap().duration == "68 sec");
-        assert!(paper_bug(99).is_none());
+        assert_eq!(TABLE3.iter().find(|b| b.id == 7).unwrap().duration, "68 sec");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! for regenerating the paper's tables and figures on a terminal.
 
 /// Renders a fixed-width table with a header row.
-pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -40,7 +40,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Renders a horizontal bar chart (Figure 5 style).
-pub fn bar_chart(entries: &[(String, usize)], max_width: usize) -> String {
+pub(crate) fn bar_chart(entries: &[(String, usize)], max_width: usize) -> String {
     let max = entries.iter().map(|(_, v)| *v).max().unwrap_or(1).max(1);
     let label_width = entries.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
     let mut out = String::new();
@@ -58,7 +58,12 @@ pub fn bar_chart(entries: &[(String, usize)], max_width: usize) -> String {
 
 /// Renders a time/packets scatter (Figure 12 style): `.` for timeline
 /// samples, `X` for discoveries.
-pub fn scatter(points: &[(f64, u64, bool)], x_max: f64, height: usize, width: usize) -> String {
+pub(crate) fn scatter(
+    points: &[(f64, u64, bool)],
+    x_max: f64,
+    height: usize,
+    width: usize,
+) -> String {
     let y_max = points.iter().map(|(_, p, _)| *p).max().unwrap_or(1).max(1) as f64;
     let mut grid = vec![vec![' '; width + 1]; height + 1];
     for &(t, packets, is_bug) in points {

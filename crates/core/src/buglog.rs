@@ -12,9 +12,9 @@ use zwave_radio::SimInstant;
 pub struct VulnFinding {
     /// Table III bug id (1-15; 100+ for MAC quirks).
     pub bug_id: u8,
-    /// CMDCL of the minimized trigger.
+    /// CMDCL of the triggering payload.
     pub cmdcl: u8,
-    /// CMD of the minimized trigger.
+    /// CMD of the triggering payload.
     pub cmd: u8,
     /// Observable effect class.
     pub effect: EffectKind,
@@ -89,18 +89,13 @@ impl BugLog {
     }
 
     /// All unique findings, in discovery order.
-    pub fn findings(&self) -> &[VulnFinding] {
+    pub(crate) fn findings(&self) -> &[VulnFinding] {
         &self.findings
     }
 
     /// Number of unique findings.
     pub fn unique_count(&self) -> usize {
         self.findings.len()
-    }
-
-    /// Whether a bug id was already found.
-    pub fn contains(&self, bug_id: u8) -> bool {
-        self.seen.contains(&bug_id)
     }
 
     /// Renders the log file of Figure 3: one line per finding.
@@ -150,8 +145,8 @@ mod tests {
         assert!(!log.record(&fault(2), 20));
         assert!(log.record(&fault(3), 30));
         assert_eq!(log.unique_count(), 2);
-        assert!(log.contains(2));
-        assert!(!log.contains(9));
+        let ids: Vec<u8> = log.findings().iter().map(|f| f.bug_id).collect();
+        assert_eq!(ids, vec![2, 3]);
         // The first occurrence is kept.
         assert_eq!(log.findings()[0].found_after_packets, 10);
     }

@@ -30,12 +30,12 @@ pub struct Corpus {
 
 impl Corpus {
     /// An empty corpus.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Corpus::default()
     }
 
     /// Retains a payload that discovered `new_edges` edges.
-    pub fn retain(&mut self, payload: Vec<u8>, new_edges: u64, retained_at_packets: u64) {
+    pub(crate) fn retain(&mut self, payload: Vec<u8>, new_edges: u64, retained_at_packets: u64) {
         debug_assert!(new_edges > 0, "retention requires new coverage");
         self.entries.push(CorpusEntry {
             payload,
@@ -46,29 +46,29 @@ impl Corpus {
     }
 
     /// Adds `amount` energy to entry `index` (its mutations keep paying).
-    pub fn boost(&mut self, index: usize, amount: u64) {
+    pub(crate) fn boost(&mut self, index: usize, amount: u64) {
         if let Some(e) = self.entries.get_mut(index) {
             e.energy += amount;
         }
     }
 
     /// The retained entries, oldest first.
-    pub fn entries(&self) -> &[CorpusEntry] {
+    pub(crate) fn entries(&self) -> &[CorpusEntry] {
         &self.entries
     }
 
     /// Number of retained entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether nothing has been retained yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Consumes the corpus into its entry list (for the campaign result).
-    pub fn into_entries(self) -> Vec<CorpusEntry> {
+    pub(crate) fn into_entries(self) -> Vec<CorpusEntry> {
         self.entries
     }
 
@@ -100,19 +100,19 @@ pub struct PowerSchedule {
 
 impl PowerSchedule {
     /// Seeds the schedule from the trial seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         PowerSchedule { state: seed }
     }
 
     /// The next splitmix64 draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let draw = zwave_radio::splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         draw
     }
 
     /// Picks the next corpus entry to mutate, energy-weighted.
-    pub fn choose(&mut self, corpus: &Corpus) -> Option<usize> {
+    pub(crate) fn choose(&mut self, corpus: &Corpus) -> Option<usize> {
         if corpus.is_empty() {
             return None;
         }

@@ -25,7 +25,7 @@ use crate::target::FuzzTarget;
 /// Upper CMDCL bound for the validation sweep (the highest id the public
 /// specification assigns, `0x9F`, per Section III-C2's "0x00 to the upper
 /// limit of the identified CMDCL list").
-pub const VALIDATION_SWEEP_END: u8 = 0x9F;
+pub(crate) const VALIDATION_SWEEP_END: u8 = 0x9F;
 
 /// Everything the discovery phase learned.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,7 +75,7 @@ impl UnknownDiscovery {
     /// Technique 1: clusters the specification and returns the
     /// controller-relevant classes that are *not* in `listed`, ordered by
     /// descending command count.
-    pub fn unlisted_candidates(listed: &[CommandClassId]) -> Vec<CommandClassId> {
+    pub(crate) fn unlisted_candidates(listed: &[CommandClassId]) -> Vec<CommandClassId> {
         let listed_set: BTreeSet<u8> = listed.iter().map(|c| c.0).collect();
         Registry::global()
             .controller_relevant_by_priority()
@@ -88,7 +88,7 @@ impl UnknownDiscovery {
     /// Technique 2: the on-air validation sweep. Sends a bare-CMDCL probe
     /// for every class byte in `0x00..=VALIDATION_SWEEP_END` and records
     /// which elicit an application-layer response from the controller.
-    pub fn validation_sweep<T: FuzzTarget>(
+    pub(crate) fn validation_sweep<T: FuzzTarget>(
         target: &mut T,
         dongle: &mut Dongle,
         scan: &ScanReport,

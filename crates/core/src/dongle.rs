@@ -11,7 +11,7 @@ use zwave_radio::{FrameBuf, Medium, RxFrame, SimClock, Transceiver};
 /// Default time the dongle waits for a device response after injecting.
 /// Chosen so the paper's observed campaign rate (~800 packets in ~600 s,
 /// Section IV-B2) is reproduced.
-pub const DEFAULT_RESPONSE_WAIT: Duration = Duration::from_millis(350);
+pub(crate) const DEFAULT_RESPONSE_WAIT: Duration = Duration::from_millis(350);
 
 /// The attacker-side radio with spoofing and liveness-probe support.
 #[derive(Debug)]
@@ -19,9 +19,6 @@ pub struct Dongle {
     radio: Transceiver,
     clock: SimClock,
     seq: u8,
-    response_wait: Duration,
-    frames_injected: u64,
-    retransmissions: u64,
     /// Source-routing header (repeater chain in forwarding order)
     /// prepended to every injected APL frame. `None` = direct range.
     route: Option<RoutingHeader>,
@@ -47,38 +44,14 @@ impl Dongle {
     /// attacker operates from 10-70 m away).
     pub fn attach(medium: &Medium, position_m: f64) -> Self {
         let radio = medium.attach(position_m);
-        radio.set_promiscuous(true);
         Dongle {
             radio,
             clock: medium.clock().clone(),
             seq: 0,
-            response_wait: DEFAULT_RESPONSE_WAIT,
-            frames_injected: 0,
-            retransmissions: 0,
             route: None,
             last_frame: None,
             scratch: Vec::new(),
         }
-    }
-
-    /// Overrides the per-packet response wait.
-    pub fn set_response_wait(&mut self, wait: Duration) {
-        self.response_wait = wait;
-    }
-
-    /// The per-packet response wait.
-    pub fn response_wait(&self) -> Duration {
-        self.response_wait
-    }
-
-    /// Total frames injected so far.
-    pub fn frames_injected(&self) -> u64 {
-        self.frames_injected
-    }
-
-    /// Total link-layer retransmissions performed so far.
-    pub fn retransmissions(&self) -> u64 {
-        self.retransmissions
     }
 
     /// Sets the repeater chain injected APL frames ride to the target
@@ -96,18 +69,13 @@ impl Dongle {
         self.route = route.filter(|r| !r.is_empty()).map(RoutingHeader::outbound);
     }
 
-    /// The currently configured injection route, if any.
-    pub fn route(&self) -> Option<&[NodeId]> {
-        self.route.as_ref().map(|header| header.repeaters.as_slice())
-    }
-
     /// Crafts and injects an application payload as `src` → `dst` with a
     /// valid checksum (ZCover always sends MAC-valid frames; only the APL
     /// content is fuzzed, per Table I).
     ///
     /// A payload too large for one MAC frame is refused: nothing goes on
     /// the air, the sequence number does not move, and there is nothing
-    /// left for [`Dongle::retransmit_last`] to resend.
+    /// left for `Dongle::retransmit_last` to resend.
     pub fn inject_apl(
         &mut self,
         home_id: HomeId,
@@ -140,7 +108,7 @@ impl Dongle {
     /// Injects raw bytes verbatim, with no routing header even when a
     /// route is set (`FuzzMode::Vfuzz`'s MAC mutants and replay attacks
     /// use this).
-    pub fn inject_raw(&mut self, bytes: &[u8]) {
+    pub(crate) fn inject_raw(&mut self, bytes: &[u8]) {
         self.send_buf(FrameBuf::from_slice(bytes));
     }
 
@@ -148,42 +116,40 @@ impl Dongle {
     fn send_buf(&mut self, buf: FrameBuf) {
         self.radio.transmit_buf(&buf);
         self.last_frame = Some(buf);
-        self.frames_injected += 1;
     }
 
     /// G.9959-style retransmission: resends the last injected frame
     /// *byte-identically* (same sequence number), so a receiver whose ack
     /// was lost recognises the copy as a duplicate instead of reprocessing
     /// it. Returns `false` when nothing has been injected yet.
-    pub fn retransmit_last(&mut self) -> bool {
+    pub(crate) fn retransmit_last(&mut self) -> bool {
         let Some(frame) = &self.last_frame else {
             return false;
         };
         // A resend is a ref-count bump per receiver, never a copy.
         self.radio.transmit_buf(frame);
-        self.retransmissions += 1;
         true
     }
 
     /// Advances virtual time by the response-wait window.
-    pub fn wait_for_responses(&self) {
-        self.clock.advance(self.response_wait);
+    pub(crate) fn wait_for_responses(&self) {
+        self.clock.advance(DEFAULT_RESPONSE_WAIT);
     }
 
     /// Drains all frames captured by the dongle.
-    pub fn drain(&self) -> Vec<RxFrame> {
+    pub(crate) fn drain(&self) -> Vec<RxFrame> {
         self.radio.drain()
     }
 
     /// Drops every frame captured so far and reports whether any of them
     /// satisfies `matches` (tried in capture order, up to the first hit),
     /// without collecting them.
-    pub fn drain_any(&self, matches: impl FnMut(&[u8]) -> bool) -> bool {
+    pub(crate) fn drain_any(&self, matches: impl FnMut(&[u8]) -> bool) -> bool {
         self.radio.drain_any(matches)
     }
 
     /// Drops any stale captures.
-    pub fn flush(&self) {
+    pub(crate) fn flush(&self) {
         self.drain_any(|_| false);
     }
 
@@ -243,11 +209,13 @@ mod tests {
     fn injection_counts_and_oversize_clamp() {
         let tb = Testbed::new(DeviceModel::D1, 5);
         let mut dongle = Dongle::attach(tb.medium(), 70.0);
+        let sent = || tb.medium().stats().frames_sent;
+        let before = sent();
         dongle.inject_apl(tb.controller().home_id(), NodeId(2), NodeId(1), vec![0x20, 0x01]);
-        assert_eq!(dongle.frames_injected(), 1);
+        assert_eq!(sent() - before, 1);
         // A payload beyond the MAC limit is refused, not panicked on.
         dongle.inject_apl(tb.controller().home_id(), NodeId(2), NodeId(1), vec![0u8; 60]);
-        assert_eq!(dongle.frames_injected(), 1);
+        assert_eq!(sent() - before, 1);
     }
 
     #[test]
@@ -264,7 +232,7 @@ mod tests {
         dongle.inject_apl(home, src, dst, [0u8; 60]);
         assert_eq!(listener.pending(), 0, "a refused payload goes nowhere");
         assert!(!dongle.retransmit_last(), "nothing to resend for a refused payload");
-        assert_eq!((dongle.frames_injected(), dongle.retransmissions()), (1, 0));
+        assert_eq!(medium.stats().frames_sent, 1);
 
         // The next accepted frame takes the sequence number the refused one
         // would have had, and it is what a retransmission resends.

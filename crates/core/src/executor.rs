@@ -168,7 +168,7 @@ impl CampaignExecutor {
     /// its result lands — the output is identical for any worker count
     /// (provided `job` itself depends only on its index). The sharded
     /// sweep runs its shards through this same pool.
-    pub fn map_indexed<R, J>(&self, count: u64, job: J) -> Vec<R>
+    pub(crate) fn map_indexed<R, J>(&self, count: u64, job: J) -> Vec<R>
     where
         R: Send,
         J: Fn(u64) -> R + Sync,

@@ -52,7 +52,7 @@ pub enum FuzzMode {
 impl FuzzMode {
     /// The engine name reported in JSON output: `zcover` for the
     /// positional fuzzer and its ablations, else `vfuzz` / `coverage`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FuzzMode::Vfuzz => "vfuzz",
             FuzzMode::Coverage => "coverage",
@@ -63,7 +63,7 @@ impl FuzzMode {
     /// The canonical configuration name: the `--config` vocabulary of
     /// the `zcover` CLI and the `config` field of recorded traces
     /// ([`FuzzConfig::named`] parses it back).
-    pub fn config_name(self) -> &'static str {
+    pub(crate) fn config_name(self) -> &'static str {
         match self {
             FuzzMode::Zcover => "full",
             FuzzMode::Beta => "beta",
@@ -159,14 +159,14 @@ impl FuzzConfig {
     }
 
     /// The VFuzz baseline: MAC-level mutation of the frames fingerprinting
-    /// captured ([`Mutator::mac_mutant`]), injected raw. Raw mutants carry
+    /// captured (`Mutator::mac_mutant`), injected raw. Raw mutants carry
     /// no routing header, so on multi-hop homes they test direct reach only.
     pub fn vfuzz(testing_duration: Duration, seed: u64) -> Self {
         FuzzConfig { mode: FuzzMode::Vfuzz, ..FuzzConfig::full(testing_duration, seed) }
     }
 
     /// Builds a configuration from its canonical name
-    /// ([`FuzzMode::config_name`]): `full`, `beta`, `gamma`,
+    /// (`FuzzMode::config_name`): `full`, `beta`, `gamma`,
     /// `no-priority`, `no-plans`, `coverage`, or `vfuzz`. Returns `None`
     /// for an unknown name.
     pub fn named(name: &str, testing_duration: Duration, seed: u64) -> Option<Self> {
@@ -282,7 +282,7 @@ impl CampaignCounters {
     }
 
     /// Copies the channel-side tallies out of a [`MediumStats`] delta.
-    pub fn absorb_channel(&mut self, delta: &MediumStats) {
+    pub(crate) fn absorb_channel(&mut self, delta: &MediumStats) {
         self.losses += delta.losses;
         self.duplicates += delta.duplicates;
         self.reorders += delta.reorders;
@@ -292,7 +292,7 @@ impl CampaignCounters {
 
     /// Copies the kernel-side occupancy tallies out of a [`SchedStats`]
     /// delta (peak pending is a mark, so max rather than sum).
-    pub fn absorb_sched(&mut self, delta: &SchedStats) {
+    pub(crate) fn absorb_sched(&mut self, delta: &SchedStats) {
         self.sched_peak_pending = self.sched_peak_pending.max(delta.peak_pending);
         self.sched_cancelled += delta.cancelled;
     }
@@ -388,30 +388,16 @@ impl Fuzzer {
         Fuzzer { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &FuzzConfig {
-        &self.config
-    }
-
     /// Runs one campaign against `target` using the fingerprinting and
     /// discovery results. Implements Algorithm 1: a priority queue of
     /// CMDCLs, per-class windows of semi-valid packet generation and
     /// mutation, response monitoring with NOP liveness pings, and bug
     /// logging.
-    pub fn run<T: FuzzTarget>(
-        &self,
-        target: &mut T,
-        dongle: &mut Dongle,
-        scan: &ScanReport,
-        discovery: &DiscoveryReport,
-    ) -> CampaignResult {
-        self.run_with_sink(target, dongle, scan, discovery, &mut NullSink)
-    }
-
-    /// [`Fuzzer::run`] with a [`TraceSink`] observing the campaign as it
-    /// executes. The sink sees every packet, plan, outage, and finding
-    /// synchronously; the campaign itself is bit-identical whichever sink
-    /// is attached (the sink cannot influence scheduling or the RNG).
+    ///
+    /// `sink` observes the campaign as it executes: it sees every packet,
+    /// plan, outage, and finding synchronously; the campaign itself is
+    /// bit-identical whichever sink is attached (the sink cannot influence
+    /// scheduling or the RNG).
     pub fn run_with_sink<T: FuzzTarget>(
         &self,
         target: &mut T,
@@ -942,7 +928,7 @@ mod tests {
         // Table VI test 1: 15 unique vulnerabilities on the ZooZ device.
         let (mut tb, mut dongle, scan, discovery) = prepare(DeviceModel::D1, 1);
         let fuzzer = Fuzzer::new(FuzzConfig::full(Duration::from_secs(3600), 1));
-        let result = fuzzer.run(&mut tb, &mut dongle, &scan, &discovery);
+        let result = fuzzer.run_with_sink(&mut tb, &mut dongle, &scan, &discovery, &mut NullSink);
         let mut ids: Vec<u8> = result.findings.iter().map(|f| f.bug_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (1..=15).collect::<Vec<u8>>(), "packets={}", result.packets_sent);
@@ -953,7 +939,7 @@ mod tests {
         // Table VI test 2.
         let (mut tb, mut dongle, scan, discovery) = prepare(DeviceModel::D1, 2);
         let fuzzer = Fuzzer::new(FuzzConfig::beta(Duration::from_secs(3600), 2));
-        let result = fuzzer.run(&mut tb, &mut dongle, &scan, &discovery);
+        let result = fuzzer.run_with_sink(&mut tb, &mut dongle, &scan, &discovery, &mut NullSink);
         let mut ids: Vec<u8> = result.findings.iter().map(|f| f.bug_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![6, 7, 8, 9, 10, 11, 13, 15]);
@@ -964,7 +950,7 @@ mod tests {
         // Table VI test 3: random fuzzing is the least effective.
         let (mut tb, mut dongle, scan, discovery) = prepare(DeviceModel::D1, 3);
         let fuzzer = Fuzzer::new(FuzzConfig::gamma(Duration::from_secs(3600), 3));
-        let result = fuzzer.run(&mut tb, &mut dongle, &scan, &discovery);
+        let result = fuzzer.run_with_sink(&mut tb, &mut dongle, &scan, &discovery, &mut NullSink);
         assert!(
             (3..=9).contains(&result.unique_vulns()),
             "gamma found {} bugs",
@@ -977,7 +963,7 @@ mod tests {
         let (mut tb, mut dongle, scan, discovery) = prepare(DeviceModel::D2, 4);
         // A Table V-style 24-hour trial (virtual time).
         let fuzzer = Fuzzer::new(FuzzConfig::full(Duration::from_secs(24 * 3600), 4));
-        let result = fuzzer.run(&mut tb, &mut dongle, &scan, &discovery);
+        let result = fuzzer.run_with_sink(&mut tb, &mut dongle, &scan, &discovery, &mut NullSink);
         // 45 prioritized CMDCLs.
         assert_eq!(result.cmdcl_coverage.len(), 45);
         // CMD coverage stays *focused* — well below VFuzz's indiscriminate
@@ -994,7 +980,7 @@ mod tests {
     fn trace_contains_discovery_marks() {
         let (mut tb, mut dongle, scan, discovery) = prepare(DeviceModel::D1, 5);
         let fuzzer = Fuzzer::new(FuzzConfig::full(Duration::from_secs(1800), 5));
-        let result = fuzzer.run(&mut tb, &mut dongle, &scan, &discovery);
+        let result = fuzzer.run_with_sink(&mut tb, &mut dongle, &scan, &discovery, &mut NullSink);
         let marks: Vec<&TraceEvent> = result.trace.iter().filter(|e| e.bug_id.is_some()).collect();
         assert_eq!(marks.len(), result.unique_vulns());
         // Trace is time ordered.
@@ -1010,7 +996,7 @@ mod tests {
         let (mut tb, mut dongle, scan, discovery) = prepare(DeviceModel::D1, 6);
         let start = tb.clock().now();
         let fuzzer = Fuzzer::new(FuzzConfig::full(Duration::from_secs(3600), 6));
-        let result = fuzzer.run(&mut tb, &mut dongle, &scan, &discovery);
+        let result = fuzzer.run_with_sink(&mut tb, &mut dongle, &scan, &discovery, &mut NullSink);
         let early = result
             .findings
             .iter()

@@ -187,7 +187,7 @@ impl ZCover {
     /// # Errors
     ///
     /// Same as [`ZCover::run_campaign`].
-    pub fn run_campaign_with_sink<T: FuzzTarget>(
+    pub(crate) fn run_campaign_with_sink<T: FuzzTarget>(
         &mut self,
         target: &mut T,
         config: FuzzConfig,

@@ -22,7 +22,7 @@ use zwave_radio::FrameBuf;
 
 /// The "interesting" byte values of Table I's `interesting` operator:
 /// extremes, off-by-one neighbours and sign boundaries.
-pub const INTERESTING_BYTES: [u8; 8] = [0x00, 0x01, 0x02, 0x7F, 0x80, 0xFE, 0xFF, 0x20];
+pub(crate) const INTERESTING_BYTES: [u8; 8] = [0x00, 0x01, 0x02, 0x7F, 0x80, 0xFE, 0xFF, 0x20];
 
 /// The Table I mutation operators applicable to CMD and PARAM positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,7 +73,7 @@ impl Mutator {
 
     /// Algorithm 1 line 8: the initial semi-valid payload for a
     /// (CMDCL, CMD) pair — `[cc, cmd, 0x00]`.
-    pub fn seed_payload(&self, cc: CommandClassId, cmd: u8) -> ApplicationPayload {
+    pub(crate) fn seed_payload(&self, cc: CommandClassId, cmd: u8) -> ApplicationPayload {
         ApplicationPayload::new(cc, cmd, vec![0x00])
     }
 
@@ -274,7 +274,7 @@ impl Mutator {
     /// MAC-field operations stacked on it. No
     /// application-layer awareness: the checksum is not repaired, so most
     /// mutants die at MAC validation.
-    pub fn mac_mutant(&mut self, corpus: &[FrameBuf], fallback: &[u8]) -> Vec<u8> {
+    pub(crate) fn mac_mutant(&mut self, corpus: &[FrameBuf], fallback: &[u8]) -> Vec<u8> {
         let mut frame = corpus.choose(&mut self.rng).map_or(fallback, |f| f.as_slice()).to_vec();
         for _ in 0..self.rng.gen_range(1..=MAC_OPS_PER_FRAME) {
             self.apply_mac_op(&mut frame);
@@ -313,13 +313,8 @@ impl Mutator {
         }
     }
 
-    /// The semantic node-id pool.
-    pub fn semantic_nodes(&self) -> &[u8] {
-        &self.semantic_nodes
-    }
-
     /// Builds the semantic pool from a scan report's node ids.
-    pub fn semantic_pool(controller: NodeId, slaves: &[NodeId]) -> Vec<u8> {
+    pub(crate) fn semantic_pool(controller: NodeId, slaves: &[NodeId]) -> Vec<u8> {
         let mut pool = vec![controller.0];
         pool.extend(slaves.iter().map(|n| n.0));
         pool

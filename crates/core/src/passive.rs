@@ -25,7 +25,7 @@ pub struct TrafficStats {
 impl TrafficStats {
     /// Fraction of APL-bearing traffic that was encrypted (0.0 when no
     /// application traffic was seen).
-    pub fn encrypted_fraction(&self) -> f64 {
+    pub(crate) fn encrypted_fraction(&self) -> f64 {
         let total = self.encrypted_frames + self.cleartext_frames;
         if total == 0 {
             return 0.0;
@@ -145,11 +145,6 @@ impl PassiveScanner {
             traffic,
             captures,
         })
-    }
-
-    /// Access to the underlying capture log.
-    pub fn sniffer(&self) -> &Sniffer {
-        &self.sniffer
     }
 }
 

@@ -37,7 +37,7 @@ pub const GHOST_NODE: NodeId = NodeId(0x05);
 
 /// Node whose re-inclusion the Crushing-the-Wave attacker hijacks (the
 /// S2 door lock of every testbed network).
-pub const TARGET_NODE: NodeId = zwave_controller::LOCK_NODE;
+pub(crate) const TARGET_NODE: NodeId = zwave_controller::LOCK_NODE;
 
 /// The S0 network key the Crushing-the-Wave attacker installs via the
 /// unauthenticated `Key Set` — a value the attacker knows, locking the
@@ -46,7 +46,7 @@ pub const ATTACKER_KEY: [u8; 16] = [0xA7; 16];
 
 /// Distance of the scripted adversary station from the controller
 /// (within the paper's 10-70 m threat-model range).
-pub const ATTACKER_POSITION_M: f64 = 30.0;
+pub(crate) const ATTACKER_POSITION_M: f64 = 30.0;
 
 /// Which scripted adversary (if any) shares the medium with a campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,7 +89,7 @@ impl Scenario {
 
     /// The transmission schedule of this scenario's adversary, anchored
     /// at the campaign start. `None` for [`Scenario::None`].
-    pub fn schedule(self, anchor: SimInstant, seed: u64) -> Option<AttackerSchedule> {
+    pub(crate) fn schedule(self, anchor: SimInstant, seed: u64) -> Option<AttackerSchedule> {
         match self {
             Scenario::None => None,
             // An unbounded flood: half-second spacing drains the metered
@@ -118,7 +118,12 @@ impl Scenario {
     /// The on-air bytes of attack frame `index` — a pure function of
     /// `(scenario, network identity, index)`, so scripts replay
     /// bit-identically. `None` when the scenario sends no such frame.
-    pub fn frame_bytes(self, home_id: HomeId, controller: NodeId, index: u64) -> Option<Vec<u8>> {
+    pub(crate) fn frame_bytes(
+        self,
+        home_id: HomeId,
+        controller: NodeId,
+        index: u64,
+    ) -> Option<Vec<u8>> {
         let (src, payload) = match self {
             Scenario::None => return None,
             // S0 Nonce Get spoofed from the offline ghost node.
@@ -166,7 +171,7 @@ pub struct ScenarioDriver {
 impl ScenarioDriver {
     /// Attaches the scenario's adversary station to `medium`, anchored at
     /// `anchor` (the campaign start). `None` for [`Scenario::None`].
-    pub fn new(
+    pub(crate) fn new(
         scenario: Scenario,
         medium: &Medium,
         anchor: SimInstant,
@@ -183,19 +188,9 @@ impl ScenarioDriver {
         })
     }
 
-    /// The scenario being driven.
-    pub fn scenario(&self) -> Scenario {
-        self.scenario
-    }
-
-    /// Attack frames transmitted so far.
-    pub fn frames_sent(&self) -> u64 {
-        self.station.frames_sent()
-    }
-
     /// Transmits every due attack frame and returns the indices sent
     /// this call (usually zero or one; a burst after an idle event hop).
-    pub fn step(&mut self) -> Vec<u64> {
+    pub(crate) fn step(&mut self) -> Vec<u64> {
         let (scenario, home, ctrl) = (self.scenario, self.home_id, self.controller);
         let sent = self.station.service(|i| scenario.frame_bytes(home, ctrl, i));
         // The station never reads the medium; drop its captures so an

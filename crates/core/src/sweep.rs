@@ -146,7 +146,7 @@ impl ShardSummary {
     }
 
     /// Distinct bug ids the shard found, ascending.
-    pub fn bug_ids(&self) -> Vec<u8> {
+    pub(crate) fn bug_ids(&self) -> Vec<u8> {
         self.hit_counts.keys().copied().collect()
     }
 }

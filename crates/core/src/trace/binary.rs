@@ -2,7 +2,7 @@
 //! (`trace-format` crate).
 //!
 //! The mapping is purely structural: records are shared verbatim (the
-//! `trace-format` [`Record`] *is* the journal's in-memory type), so only
+//! `trace-format` [`Record`](crate::Record) *is* the journal's in-memory type), so only
 //! the header needs translation — `zcover`'s typed [`TraceMeta`]
 //! (impairment profile, scenario, `Duration` budget) to the format's
 //! string-valued [`ZctHeader`]. The budget crosses as nanoseconds, so the
@@ -59,7 +59,7 @@ fn header_to_meta(header: &ZctHeader) -> Result<TraceMeta, TraceError> {
 }
 
 /// Serializes a trace in the ZCT binary format (default block size).
-pub fn to_zct_bytes(trace: &Trace) -> Vec<u8> {
+pub(crate) fn to_zct_bytes(trace: &Trace) -> Vec<u8> {
     let mut writer = ZctWriter::new(&meta_to_header(&trace.meta), DEFAULT_BLOCK_SIZE);
     writer.push_all(&trace.events);
     writer.finish()
@@ -72,7 +72,7 @@ pub fn to_zct_bytes(trace: &Trace) -> Vec<u8> {
 /// [`TraceError::Malformed`] (with the byte offset of the damage) on
 /// structural problems, [`TraceError::UnsupportedVersion`] /
 /// [`TraceError::UnknownMeta`] on header problems.
-pub fn from_zct_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
+pub(crate) fn from_zct_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
     let zct = ZctTrace::parse(bytes.to_vec()).map_err(zct_error)?;
     let meta = header_to_meta(zct.header())?;
     let events = zct.records().map_err(zct_error)?;

@@ -1,7 +1,7 @@
 //! The JSONL rendering of trace records — the exact line grammar the
 //! golden traces are pinned in.
 //!
-//! [`render`] is the *only* producer of journal lines; [`parse`] is its
+//! `render` is the *only* producer of journal lines; `parse` is its
 //! verified inverse: a line parses into a structured [`Record`] only when
 //! re-rendering that record reproduces the line byte for byte. Anything
 //! else — unknown `"t"` values, extra fields, whitespace variations —
@@ -30,7 +30,7 @@ fn num(line: &str, key: &str) -> Option<u64> {
 }
 
 /// Renders one record as its canonical JSONL line.
-pub fn render(record: &Record) -> String {
+pub(crate) fn render(record: &Record) -> String {
     match record {
         Record::Sched { at_us, seq, actor, kind } => {
             let prefix =
@@ -123,7 +123,7 @@ fn try_parse(line: &str) -> Option<Record> {
 /// Parses one journal line into a [`Record`]. Infallible: a line either
 /// maps to a structured record whose rendering reproduces it exactly, or
 /// it is preserved verbatim as [`Record::Raw`].
-pub fn parse(line: &str) -> Record {
+pub(crate) fn parse(line: &str) -> Record {
     match try_parse(line) {
         Some(record) if render(&record) == line => record,
         _ => Record::Raw(line.to_string()),

@@ -60,7 +60,7 @@ pub use stats::{cross_trial_summary, CmdclStats, TraceStats};
 
 /// Trace format version emitted and accepted by this build (shared by the
 /// JSONL header field and the ZCT binary header).
-pub const TRACE_VERSION: u64 = 1;
+pub(crate) const TRACE_VERSION: u64 = 1;
 
 /// Errors loading or replaying a trace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,7 +115,7 @@ impl TraceMeta {
     /// The header of a trial of `config` on device `device` (`D1`..`D7`):
     /// the configuration is recorded by its canonical name, so
     /// [`FuzzConfig::named`] rebuilds it on replay.
-    pub fn new(device: &str, config: &FuzzConfig) -> TraceMeta {
+    pub(crate) fn new(device: &str, config: &FuzzConfig) -> TraceMeta {
         TraceMeta {
             device: device.to_string(),
             seed: config.seed,

@@ -2,7 +2,7 @@
 //!
 //! Everything here is computed in **one streaming pass** over the record
 //! stream — a binary trace is decoded block by block and each record is
-//! fed to [`TraceStats::observe`] exactly once, so a multi-gigabyte
+//! fed to `TraceStats::observe` exactly once, so a multi-gigabyte
 //! city-sweep trace analyses in O(blocks) memory. The metrics answer the
 //! questions the paper's evaluation asks of a campaign:
 //!
@@ -76,7 +76,7 @@ pub struct TraceStats {
 
 impl TraceStats {
     /// Feeds one record into the aggregate.
-    pub fn observe(&mut self, record: &Record) {
+    pub(crate) fn observe(&mut self, record: &Record) {
         self.events += 1;
         if let Some(at_us) = record.at_us() {
             self.span_us = self.span_us.max(at_us);
@@ -130,12 +130,12 @@ impl TraceStats {
 
     /// Timers the id sequence proves were scheduled but that never fired
     /// in the journal: cancelled or still pending at end.
-    pub fn timers_unfired(&self) -> u64 {
+    pub(crate) fn timers_unfired(&self) -> u64 {
         self.timers_scheduled.saturating_sub(self.sched_timers)
     }
 
     /// Outage counts over `buckets` equal slices of the virtual span.
-    pub fn outage_histogram(&self, buckets: usize) -> Vec<u64> {
+    pub(crate) fn outage_histogram(&self, buckets: usize) -> Vec<u64> {
         let buckets = buckets.max(1);
         let mut hist = vec![0u64; buckets];
         let span = self.span_us.max(1);

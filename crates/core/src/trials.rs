@@ -36,7 +36,7 @@ impl TrialSummary {
     /// summary. This is the single merge path used by both the sequential
     /// and the parallel executor, so the two are identical by
     /// construction.
-    pub fn from_trials(per_trial: Vec<CampaignResult>) -> Self {
+    pub(crate) fn from_trials(per_trial: Vec<CampaignResult>) -> Self {
         let mut hit_counts: BTreeMap<u8, usize> = BTreeMap::new();
         let mut merged_log = BugLog::new();
         let mut counters = CampaignCounters::default();

@@ -52,7 +52,7 @@ pub fn decode_block(
 /// # Errors
 ///
 /// As [`decode_block`]. On error `out` may hold part of the block.
-pub fn decode_block_into(
+pub(crate) fn decode_block_into(
     cursor: &mut Cursor<'_>,
     intern: &InternTable,
     out: &mut Vec<Record>,

@@ -26,7 +26,7 @@ const fn build_table() -> [u32; 256] {
 }
 
 /// CRC-32 of `bytes` (IEEE polynomial, reflected, init/xorout `!0`).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &byte in bytes {
         crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xff) as usize];

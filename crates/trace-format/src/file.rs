@@ -142,7 +142,7 @@ impl ZctWriter {
     }
 
     /// Appends one record.
-    pub fn push(&mut self, record: Record) {
+    pub(crate) fn push(&mut self, record: Record) {
         self.pending.push(record);
         if self.pending.len() >= self.block_size {
             self.flush_block();
@@ -221,13 +221,6 @@ pub fn peek_header(bytes: &[u8]) -> Result<ZctHeader, ZctError> {
     Ok(header)
 }
 
-/// Encodes a complete trace in one call.
-pub fn encode(header: &ZctHeader, records: &[Record], block_size: usize) -> Vec<u8> {
-    let mut writer = ZctWriter::new(header, block_size);
-    writer.push_all(records);
-    writer.finish()
-}
-
 /// A parsed binary trace: frame validated (magic, header, index, CRCs),
 /// blocks decoded on demand.
 #[derive(Debug, Clone)]
@@ -243,7 +236,7 @@ pub struct ZctTrace {
 impl ZctTrace {
     /// Parses the file frame: magic, trailer, footer (intern table +
     /// block index), header — everything except the block payloads, which
-    /// decode lazily via [`ZctTrace::block`] / [`ZctTrace::event`].
+    /// decode lazily via `ZctTrace::block` / [`ZctTrace::event`].
     ///
     /// # Errors
     ///
@@ -374,11 +367,6 @@ impl ZctTrace {
         &self.index
     }
 
-    /// The interning table (event-name strings).
-    pub fn intern(&self) -> &InternTable {
-        &self.intern
-    }
-
     /// Index of the block holding event `k`, if in range.
     pub fn block_of(&self, k: u64) -> Option<usize> {
         if k >= self.total {
@@ -393,7 +381,7 @@ impl ZctTrace {
     ///
     /// [`ZctError::Malformed`] when the block region is damaged or `b` is
     /// out of range.
-    pub fn block(&self, b: usize) -> Result<Vec<Record>, ZctError> {
+    pub(crate) fn block(&self, b: usize) -> Result<Vec<Record>, ZctError> {
         let mut records = Vec::new();
         self.block_into(b, &mut records)?;
         Ok(records)
@@ -417,14 +405,6 @@ impl ZctTrace {
             ));
         }
         Ok(())
-    }
-
-    /// The framed bytes of block `b` (count, length, CRC, payload) —
-    /// lets a differ compare whole blocks without decoding either side.
-    pub fn block_framed_bytes(&self, b: usize) -> Option<&[u8]> {
-        let entry = self.index.get(b)?;
-        let end = self.index.get(b + 1).map(|next| next.offset).unwrap_or(self.blocks_end) as usize;
-        Some(&self.bytes[entry.offset as usize..end])
     }
 
     /// Decodes event `k` by seeking through the index: exactly one block
@@ -464,6 +444,13 @@ impl ZctTrace {
 mod tests {
     use super::*;
     use crate::record::SchedKind;
+
+    /// Encodes a complete trace in one call.
+    fn encode(header: &ZctHeader, records: &[Record], block_size: usize) -> Vec<u8> {
+        let mut writer = ZctWriter::new(header, block_size);
+        writer.push_all(records);
+        writer.finish()
+    }
 
     fn header() -> ZctHeader {
         ZctHeader {

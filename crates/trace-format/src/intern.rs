@@ -42,16 +42,6 @@ impl InternTable {
         self.strings.get(usize::try_from(id).ok()?).map(String::as_str)
     }
 
-    /// Number of interned strings.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
     /// Serializes the table (count, then length-prefixed strings in id
     /// order).
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -103,7 +93,6 @@ mod tests {
         assert_eq!(table.intern("packet"), 0);
         assert_eq!(table.resolve(1), Some("plan"));
         assert_eq!(table.resolve(2), None);
-        assert_eq!(table.len(), 2);
     }
 
     #[test]

@@ -52,13 +52,13 @@ pub use intern::InternTable;
 pub use record::{Record, SchedKind};
 
 /// Leading magic of every ZCT file.
-pub const MAGIC: &[u8; 4] = b"ZCT1";
+pub(crate) const MAGIC: &[u8; 4] = b"ZCT1";
 
 /// Trailing magic closing every complete ZCT file.
-pub const END_MAGIC: &[u8; 4] = b"ZCTE";
+pub(crate) const END_MAGIC: &[u8; 4] = b"ZCTE";
 
 /// Binary trace format version written and accepted by this build.
-pub const ZCT_VERSION: u64 = 1;
+pub(crate) const ZCT_VERSION: u64 = 1;
 
 /// Errors from parsing or decoding a ZCT file. Every variant carries
 /// enough context (byte offset, reason) to pinpoint the damage.
@@ -82,7 +82,7 @@ pub enum ZctError {
 
 impl ZctError {
     /// Shorthand constructor for [`ZctError::Malformed`].
-    pub fn malformed(offset: u64, reason: impl Into<String>) -> ZctError {
+    pub(crate) fn malformed(offset: u64, reason: impl Into<String>) -> ZctError {
         ZctError::Malformed { offset, reason: reason.into() }
     }
 }

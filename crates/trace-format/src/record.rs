@@ -75,9 +75,9 @@ pub enum Record {
         at_us: u64,
         /// Table III bug id.
         bug: u64,
-        /// CMDCL of the minimized trigger.
+        /// CMDCL of the triggering payload.
         cmdcl: u64,
-        /// CMD of the minimized trigger.
+        /// CMD of the triggering payload.
         cmd: u64,
     },
     /// A corpus retention event (`"t":"corpus"`, coverage mode).

@@ -54,12 +54,12 @@ impl<'a> Cursor<'a> {
     }
 
     /// Current absolute offset (for error reporting and bookkeeping).
-    pub fn offset(&self) -> u64 {
+    pub(crate) fn offset(&self) -> u64 {
         self.base + self.pos as u64
     }
 
     /// Bytes remaining.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
@@ -73,7 +73,7 @@ impl<'a> Cursor<'a> {
     /// # Errors
     ///
     /// [`ZctError::Malformed`] at the current offset when the input ends.
-    pub fn u8(&mut self, what: &str) -> Result<u8, ZctError> {
+    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, ZctError> {
         let Some(&byte) = self.bytes.get(self.pos) else {
             return Err(ZctError::malformed(self.offset(), format!("truncated {what}")));
         };
@@ -86,7 +86,7 @@ impl<'a> Cursor<'a> {
     /// # Errors
     ///
     /// [`ZctError::Malformed`] when fewer than `n` bytes remain.
-    pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ZctError> {
+    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ZctError> {
         if self.remaining() < n {
             return Err(ZctError::malformed(
                 self.offset(),
@@ -135,7 +135,7 @@ impl<'a> Cursor<'a> {
     /// # Errors
     ///
     /// [`ZctError::Malformed`] on truncation.
-    pub fn u32_le(&mut self, what: &str) -> Result<u32, ZctError> {
+    pub(crate) fn u32_le(&mut self, what: &str) -> Result<u32, ZctError> {
         let bytes = self.take(4, what)?;
         Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
     }
@@ -145,7 +145,7 @@ impl<'a> Cursor<'a> {
     /// # Errors
     ///
     /// [`ZctError::Malformed`] on truncation.
-    pub fn u64_le(&mut self, what: &str) -> Result<u64, ZctError> {
+    pub(crate) fn u64_le(&mut self, what: &str) -> Result<u64, ZctError> {
         let bytes = self.take(8, what)?;
         let mut buf = [0u8; 8];
         buf.copy_from_slice(bytes);
@@ -158,7 +158,7 @@ impl<'a> Cursor<'a> {
     ///
     /// [`ZctError::Malformed`] on truncation, an absurd length, or
     /// invalid UTF-8.
-    pub fn string(&mut self, what: &str) -> Result<String, ZctError> {
+    pub(crate) fn string(&mut self, what: &str) -> Result<String, ZctError> {
         let start = self.offset();
         let len = self.u64(what)?;
         if len > self.remaining() as u64 {
@@ -174,7 +174,7 @@ impl<'a> Cursor<'a> {
 }
 
 /// Appends a length-prefixed UTF-8 string.
-pub fn put_string(out: &mut Vec<u8>, value: &str) {
+pub(crate) fn put_string(out: &mut Vec<u8>, value: &str) {
     put_u64(out, value.len() as u64);
     out.extend_from_slice(value.as_bytes());
 }

@@ -137,9 +137,9 @@ pub struct SimController {
 }
 
 /// Association groups the controller advertises.
-pub const ASSOCIATION_GROUPS: u8 = 3;
+pub(crate) const ASSOCIATION_GROUPS: u8 = 3;
 /// Maximum members per association group.
-pub const MAX_ASSOCIATIONS_PER_GROUP: usize = 5;
+pub(crate) const MAX_ASSOCIATIONS_PER_GROUP: usize = 5;
 
 impl SimController {
     /// Attaches a controller to `medium` at `position_m` and builds its
@@ -212,25 +212,10 @@ impl SimController {
         self.reinclusion = ReinclusionState::Armed(node);
     }
 
-    /// The current inclusion-exchange window state.
-    pub fn reinclusion(&self) -> ReinclusionState {
-        self.reinclusion
-    }
-
-    /// The attack-attributable energy meter (bug #16 oracle).
-    pub fn attack_energy(&self) -> &EnergyMeter {
-        &self.attack_energy
-    }
-
-    /// Nonce reports answered on behalf of offline nodes (bug #16).
-    pub fn offline_nonce_answers(&self) -> u64 {
-        self.offline_nonce_answers
-    }
-
     /// Grants the legacy S0 network key this controller answers S0
     /// encapsulation with (testbed pairing). Re-derives the cached working
     /// keys and nonce cipher so no hot-path key expansion is needed later.
-    pub fn set_s0_key(&mut self, key: zwave_crypto::NetworkKey) {
+    pub(crate) fn set_s0_key(&mut self, key: zwave_crypto::NetworkKey) {
         self.s0_cache = zwave_crypto::s0::S0Keys::derive(&key);
         self.s0_nonce_cipher = zwave_crypto::aes::Aes128::new(key.bytes());
         self.s0_key = key;
@@ -254,27 +239,12 @@ impl SimController {
         nonce
     }
 
-    /// Members of an association group.
-    pub fn association_group(&self, group: u8) -> &[u8] {
-        self.associations.get(&group).map_or(&[], Vec::as_slice)
-    }
-
-    /// A stored configuration parameter value.
-    pub fn config_param(&self, param: u8) -> Option<u8> {
-        self.config_params.get(&param).copied()
-    }
-
     /// Applies a firmware/SDK update fixing the given Table III bugs — the
     /// Silicon Labs remediation path of Section V-B ("SiLabs confirmed
     /// mitigation plans ... and announced a Z-Wave SDK update"). A patched
     /// path rejects the malicious payload instead of processing it.
     pub fn apply_patches(&mut self, bug_ids: &[u8]) {
         self.patched_bugs.extend(bug_ids.iter().copied());
-    }
-
-    /// Bug ids currently patched.
-    pub fn patched_bugs(&self) -> impl Iterator<Item = u8> + '_ {
-        self.patched_bugs.iter().copied()
     }
 
     /// The model description.
@@ -285,11 +255,6 @@ impl SimController {
     /// The network home id.
     pub fn home_id(&self) -> HomeId {
         self.config.home_id
-    }
-
-    /// The controller's node id (0x01).
-    pub fn node_id(&self) -> NodeId {
-        self.node_id
     }
 
     /// The advertised (listed) command classes.
@@ -342,16 +307,6 @@ impl SimController {
         &self.coverage
     }
 
-    /// The link-layer retry/timeout policy in force.
-    pub fn link_policy(&self) -> LinkPolicy {
-        self.link
-    }
-
-    /// Replaces the link-layer retry/timeout policy.
-    pub fn set_link_policy(&mut self, policy: LinkPolicy) {
-        self.link = policy;
-    }
-
     /// Link-layer counters: retransmissions, ack timeouts, duplicates
     /// suppressed.
     pub fn link_stats(&self) -> LinkStats {
@@ -372,7 +327,7 @@ impl SimController {
     }
 
     /// Registers an established S2 session with a paired node.
-    pub fn pair_s2(&mut self, node: NodeId, session: S2Session) {
+    pub(crate) fn pair_s2(&mut self, node: NodeId, session: S2Session) {
         self.s2_sessions.retain(|(n, _)| *n != node);
         self.s2_sessions.push((node, session));
     }
@@ -384,8 +339,7 @@ impl SimController {
     }
 
     /// Factory reset between fuzzing trials: restores NVM, health, host
-    /// and app state. The fault log survives (it is the experiment record);
-    /// use [`SimController::clear_faults`] to wipe it too.
+    /// and app state. The fault log survives (it is the experiment record).
     pub fn restore_factory(&mut self) {
         let snapshot = self.factory_nvm.snapshot();
         self.nvm.restore(&snapshot);
@@ -407,12 +361,6 @@ impl SimController {
         self.rx_via_route = false;
     }
 
-    /// Clears the fault log and its cursor.
-    pub fn clear_faults(&mut self) {
-        self.faults.clear();
-        self.fault_cursor = 0;
-    }
-
     fn now(&self) -> SimInstant {
         self.radio.medium().clock().now()
     }
@@ -432,7 +380,7 @@ impl SimController {
     /// Sends an application payload to `dst` as an acknowledged singlecast.
     /// The frame is tracked for retransmission until `dst` acks it or the
     /// [`LinkPolicy`] retry budget runs out.
-    pub fn send_apl(&mut self, dst: NodeId, payload: Vec<u8>) {
+    pub(crate) fn send_apl(&mut self, dst: NodeId, payload: Vec<u8>) {
         let mut fc = zwave_protocol::frame::FrameControl::singlecast(self.seq);
         self.seq = (self.seq + 1) & 0x0F;
         fc.sequence = self.seq;
@@ -1117,7 +1065,7 @@ mod tests {
         let (_m, mut c, attacker) = setup();
         attacker.transmit(&frame(0xE7DE3F3D, 0x02, 0x01, vec![0x00]));
         c.poll();
-        let ack = attacker.try_recv().expect("expected a MAC ack");
+        let ack = attacker.recv_where(|_| true).expect("expected a MAC ack");
         let decoded = MacFrame::decode(&ack.bytes).unwrap();
         assert!(decoded.is_ack());
         assert_eq!(c.stats().acks_sent, 1);
@@ -1149,8 +1097,8 @@ mod tests {
         let (_m, mut c, attacker) = setup();
         attacker.transmit(&frame(0xE7DE3F3D, 0x0F, 0x01, nif::encode_nif_request()));
         c.poll();
-        let _ack = attacker.try_recv().unwrap();
-        let reply = attacker.try_recv().expect("expected NIF report");
+        let _ack = attacker.recv_where(|_| true).unwrap();
+        let reply = attacker.recv_where(|_| true).expect("expected NIF report");
         let decoded = MacFrame::decode(&reply.bytes).unwrap();
         let nif = NodeInfoFrame::decode(decoded.payload()).unwrap();
         assert_eq!(nif.supported, vec![CommandClassId::BASIC, CommandClassId::VERSION]);
@@ -1162,7 +1110,7 @@ mod tests {
         // 0x62 DOOR_LOCK is slave-side, not in the controller set.
         attacker.transmit(&frame(0xE7DE3F3D, 0x0F, 0x01, vec![0x62, 0x02]));
         c.poll();
-        let _ack = attacker.try_recv().unwrap();
+        let _ack = attacker.recv_where(|_| true).unwrap();
         assert_eq!(attacker.pending(), 0);
         assert_eq!(c.stats().apl_ignored, 1);
     }
@@ -1173,8 +1121,8 @@ mod tests {
         // Proprietary 0x01 ASSIGN_IDS → command complete.
         attacker.transmit(&frame(0xE7DE3F3D, 0x0F, 0x01, vec![0x01, 0x03, 0x00, 0x00]));
         c.poll();
-        let _ack = attacker.try_recv().unwrap();
-        let reply = attacker.try_recv().expect("expected processing response");
+        let _ack = attacker.recv_where(|_| true).unwrap();
+        let reply = attacker.recv_where(|_| true).expect("expected processing response");
         let decoded = MacFrame::decode(&reply.bytes).unwrap();
         assert_eq!(decoded.payload(), &[0x01, 0x07, 0x00]);
     }
@@ -1399,7 +1347,7 @@ mod tests {
     fn bug16_offline_nonce_answers_exhaust_the_energy_budget() {
         let (_m, mut c, attacker) = setup();
         mark_offline(&mut c, 0x05);
-        assert_eq!(c.attack_energy().spent_uj(), 0);
+        assert_eq!(c.attack_energy.spent_uj(), 0);
         // Each flood frame needs a fresh sequence number to clear the
         // duplicate filter, like the real attacker schedule produces.
         for i in 0..40u8 {
@@ -1417,16 +1365,16 @@ mod tests {
             attacker.transmit(&f.encode());
             c.poll();
         }
-        assert_eq!(c.offline_nonce_answers(), 40);
-        assert!(c.attack_energy().exhausted());
+        assert_eq!(c.offline_nonce_answers, 40);
+        assert!(c.attack_energy.exhausted());
         let faults = c.take_new_faults();
         assert_eq!(faults.len(), 1, "the BatteryDrain verdict is one-shot");
         assert_eq!(faults[0].bug_id, 16);
         assert_eq!(faults[0].effect, EffectKind::BatteryDrain);
         // Factory restore refills the budget.
         c.restore_factory();
-        assert_eq!(c.attack_energy().spent_uj(), 0);
-        assert_eq!(c.offline_nonce_answers(), 0);
+        assert_eq!(c.attack_energy.spent_uj(), 0);
+        assert_eq!(c.offline_nonce_answers, 0);
     }
 
     #[test]
@@ -1437,8 +1385,8 @@ mod tests {
         c.nvm_mut().insert(rec);
         attacker.transmit(&nonce_get(0x05));
         c.poll();
-        assert_eq!(c.offline_nonce_answers(), 0);
-        assert_eq!(c.attack_energy().spent_uj(), 0);
+        assert_eq!(c.offline_nonce_answers, 0);
+        assert_eq!(c.attack_energy.spent_uj(), 0);
         assert!(c.take_new_faults().is_empty());
         // The nonce itself is still answered (ack + report on air).
         assert!(attacker.pending() >= 2);
@@ -1454,8 +1402,8 @@ mod tests {
         let frames = attacker.drain();
         // The MAC ack still goes out, but no nonce report follows.
         assert!(frames.iter().all(|f| MacFrame::decode(&f.bytes).is_ok_and(|d| d.is_ack())));
-        assert_eq!(c.offline_nonce_answers(), 0);
-        assert_eq!(c.attack_energy().spent_uj(), 0);
+        assert_eq!(c.offline_nonce_answers, 0);
+        assert_eq!(c.attack_energy.spent_uj(), 0);
     }
 
     #[test]
@@ -1471,7 +1419,7 @@ mod tests {
         attacker.transmit(&kex_set);
         c.poll();
         assert!(c.take_new_faults().is_empty(), "inert outside re-inclusion");
-        assert_eq!(c.reinclusion(), ReinclusionState::Idle);
+        assert_eq!(c.reinclusion, ReinclusionState::Idle);
 
         c.arm_reinclusion(NodeId(0x02));
         attacker.drain();
@@ -1481,7 +1429,7 @@ mod tests {
         assert_eq!(faults.len(), 1);
         assert_eq!(faults[0].bug_id, 17);
         assert_eq!(faults[0].effect, EffectKind::SecurityDowngrade);
-        assert_eq!(c.reinclusion(), ReinclusionState::Downgraded(NodeId(0x02)));
+        assert_eq!(c.reinclusion, ReinclusionState::Downgraded(NodeId(0x02)));
         assert!(!c.nvm().get(NodeId(0x02)).unwrap().secure, "S2 pairing lost");
     }
 
@@ -1513,10 +1461,10 @@ mod tests {
         assert_eq!(faults[0].bug_id, 18);
         assert_eq!(faults[0].effect, EffectKind::Lockout);
         assert_eq!(c.s0_key().bytes(), &[0xA5; 16], "attacker key installed");
-        assert_eq!(c.reinclusion(), ReinclusionState::Idle, "window closed");
+        assert_eq!(c.reinclusion, ReinclusionState::Idle, "window closed");
         // Restore undoes the armed state (the key is testbed-managed).
         c.restore_factory();
-        assert_eq!(c.reinclusion(), ReinclusionState::Idle);
+        assert_eq!(c.reinclusion, ReinclusionState::Idle);
     }
 
     #[test]
@@ -1524,8 +1472,8 @@ mod tests {
         let (_m, mut c, attacker) = setup();
         attacker.transmit(&frame(0xE7DE3F3D, 0x0F, 0x01, vec![0x86, 0x13, 0x20]));
         c.poll();
-        let _ack = attacker.try_recv().unwrap();
-        let reply = attacker.try_recv().expect("version report");
+        let _ack = attacker.recv_where(|_| true).unwrap();
+        let reply = attacker.recv_where(|_| true).expect("version report");
         let decoded = MacFrame::decode(&reply.bytes).unwrap();
         assert_eq!(&decoded.payload()[..3], &[0x86, 0x14, 0x20]);
         assert!(c.fault_log().is_empty());
@@ -1544,6 +1492,10 @@ mod app_state_tests {
         (medium, controller, attacker)
     }
 
+    fn group(c: &SimController, group: u8) -> &[u8] {
+        c.associations.get(&group).map_or(&[], Vec::as_slice)
+    }
+
     fn send(attacker: &Transceiver, c: &mut SimController, payload: Vec<u8>) {
         let frame = MacFrame::singlecast(HomeId(0xE7DE3F3D), NodeId(0x03), NodeId(0x01), payload);
         attacker.transmit(&frame.encode());
@@ -1554,10 +1506,10 @@ mod app_state_tests {
     fn association_set_get_remove_cycle() {
         let (_m, mut c, attacker) = setup();
         send(&attacker, &mut c, vec![0x85, 0x01, 0x01, 0x02, 0x03]);
-        assert_eq!(c.association_group(1), &[0x02, 0x03]);
+        assert_eq!(group(&c, 1), &[0x02, 0x03]);
         // Duplicate members are not added twice.
         send(&attacker, &mut c, vec![0x85, 0x01, 0x01, 0x02]);
-        assert_eq!(c.association_group(1), &[0x02, 0x03]);
+        assert_eq!(group(&c, 1), &[0x02, 0x03]);
 
         // Get → Report with the members.
         attacker.drain();
@@ -1572,9 +1524,9 @@ mod app_state_tests {
 
         // Remove one member; then clear the group.
         send(&attacker, &mut c, vec![0x85, 0x04, 0x01, 0x02]);
-        assert_eq!(c.association_group(1), &[0x03]);
+        assert_eq!(group(&c, 1), &[0x03]);
         send(&attacker, &mut c, vec![0x85, 0x04, 0x01]);
-        assert!(c.association_group(1).is_empty());
+        assert!(group(&c, 1).is_empty());
     }
 
     #[test]
@@ -1583,7 +1535,7 @@ mod app_state_tests {
         let mut payload = vec![0x85, 0x01, 0x02];
         payload.extend(10u8..30);
         send(&attacker, &mut c, payload);
-        assert_eq!(c.association_group(2).len(), MAX_ASSOCIATIONS_PER_GROUP);
+        assert_eq!(group(&c, 2).len(), MAX_ASSOCIATIONS_PER_GROUP);
     }
 
     #[test]
@@ -1603,9 +1555,9 @@ mod app_state_tests {
     #[test]
     fn configuration_parameters_persist() {
         let (_m, mut c, attacker) = setup();
-        assert_eq!(c.config_param(7), None);
+        assert_eq!(c.config_params.get(&7).copied(), None);
         send(&attacker, &mut c, vec![0x70, 0x04, 0x07, 0x01, 0x2A]);
-        assert_eq!(c.config_param(7), Some(0x2A));
+        assert_eq!(c.config_params.get(&7).copied(), Some(0x2A));
 
         attacker.drain();
         send(&attacker, &mut c, vec![0x70, 0x05, 0x07]);

@@ -2,7 +2,7 @@
 //!
 //! Real controllers are black boxes, but the simulated ones can be
 //! instrumented for free: every time a payload crosses an APL dispatch
-//! point — in [`crate::SimController::dispatch`] or in a slave device's
+//! point — in `SimController::dispatch` or in a slave device's
 //! handler — the `(command class, command, dispatch state)` triple is
 //! recorded as one bit in a fixed-size [`CoverageMap`]. The fuzzer reads
 //! the monotonic edge count after each injected packet; a packet that
@@ -18,23 +18,23 @@
 /// when one is rejected as unimplemented and the other reaches a handler.
 pub mod state {
     /// Command class not in the controller's implemented set.
-    pub const IGNORED: u8 = 0;
+    pub(crate) const IGNORED: u8 = 0;
     /// Handled by a legitimate plaintext handler.
-    pub const PLAIN: u8 = 1;
+    pub(crate) const PLAIN: u8 = 1;
     /// Handled after S0/S2 decapsulation (the `encrypted` dispatch flag).
-    pub const ENCRYPTED: u8 = 2;
+    pub(crate) const ENCRYPTED: u8 = 2;
     /// Matched a seeded Table III vulnerability check.
-    pub const VULN: u8 = 3;
+    pub(crate) const VULN: u8 = 3;
     /// Matched a vulnerability check on patched firmware (rejected).
-    pub const PATCHED: u8 = 4;
+    pub(crate) const PATCHED: u8 = 4;
     /// Handled by a slave device model rather than the controller.
-    pub const DEVICE: u8 = 5;
+    pub(crate) const DEVICE: u8 = 5;
     /// Outer frame of an encapsulation (S0/S2/CRC-16/Supervision) that
     /// was unwrapped and re-dispatched.
-    pub const ENCAP: u8 = 6;
+    pub(crate) const ENCAP: u8 = 6;
     /// Matched an attack-scenario predicate (bugs #16-#18: offline-node
     /// nonce answers, inclusion downgrade, unauthorized key reset).
-    pub const ATTACK: u8 = 7;
+    pub(crate) const ATTACK: u8 = 7;
     /// Capacity (power of two so the bitmap stays word-aligned).
     pub const COUNT: u8 = 8;
 }
@@ -78,7 +78,7 @@ impl CoverageMap {
     }
 
     /// Inserts an edge by ID; returns `true` iff the bit was new.
-    pub fn insert(&mut self, edge: u32) -> bool {
+    pub(crate) fn insert(&mut self, edge: u32) -> bool {
         let bit = edge as usize;
         debug_assert!(bit < WORDS * 64, "edge id out of range: {edge:#x}");
         let (word, mask) = (bit / 64, 1u64 << (bit % 64));
@@ -111,29 +111,6 @@ impl CoverageMap {
         }
         self.edges = edges;
     }
-
-    /// All recorded edge IDs in ascending order — the serialized form.
-    pub fn edge_ids(&self) -> Vec<u32> {
-        let mut ids = Vec::with_capacity(self.edges as usize);
-        for (w, word) in self.bits.iter().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                ids.push((w as u32) * 64 + b);
-                bits &= bits - 1;
-            }
-        }
-        ids
-    }
-
-    /// Reconstructs a map from a serialized edge-ID list.
-    pub fn from_edge_ids(ids: &[u32]) -> Self {
-        let mut map = Self::new();
-        for &id in ids {
-            map.insert(id);
-        }
-        map
-    }
 }
 
 impl std::fmt::Debug for CoverageMap {
@@ -153,17 +130,6 @@ mod tests {
         assert!(!m.record(0x25, 0x01, state::PLAIN));
         assert!(m.record(0x25, 0x01, state::ENCRYPTED));
         assert_eq!(m.edges(), 2);
-    }
-
-    #[test]
-    fn edge_ids_round_trip() {
-        let mut m = CoverageMap::new();
-        for (cc, cmd, st) in [(0x62, 0x01, state::DEVICE), (0x00, 0x00, state::IGNORED)] {
-            m.record(cc, cmd, st);
-        }
-        let ids = m.edge_ids();
-        assert_eq!(ids.len(), 2);
-        assert_eq!(CoverageMap::from_edge_ids(&ids), m);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The S2-secured smart door lock (testbed device D8).
 
-use std::time::Duration;
-
 use zwave_crypto::s2::S2Session;
 use zwave_protocol::apl::ApplicationPayload;
 use zwave_protocol::{CommandClassId, HomeId, MacFrame, NodeId};
@@ -15,11 +13,9 @@ pub struct SimDoorLock {
     radio: Transceiver,
     home_id: HomeId,
     node_id: NodeId,
-    controller: NodeId,
     session: S2Session,
     locked: bool,
     seq: u8,
-    report_every: Option<Duration>,
     coverage: CoverageMap,
 }
 
@@ -30,18 +26,15 @@ impl SimDoorLock {
         position_m: f64,
         home_id: HomeId,
         node_id: NodeId,
-        controller: NodeId,
         session: S2Session,
     ) -> Self {
         SimDoorLock {
             radio: medium.attach(position_m),
             home_id,
             node_id,
-            controller,
             session,
             locked: true,
             seq: 0,
-            report_every: None,
             coverage: CoverageMap::new(),
         }
     }
@@ -49,25 +42,6 @@ impl SimDoorLock {
     /// APL dispatch-edge coverage of the lock's secure handler.
     pub fn coverage(&self) -> &CoverageMap {
         &self.coverage
-    }
-
-    /// Opt-in periodic state reports: every `every` of virtual time the
-    /// lock reports its bolt state to the controller over S2, driven by
-    /// scheduler wakeups rather than polling. Off by default.
-    pub fn enable_periodic_reports(&mut self, every: Duration) {
-        self.report_every = Some(every);
-        let at = self.radio.medium().clock().now().plus(every);
-        self.radio.schedule_wakeup(at);
-    }
-
-    /// Handles a fired scheduler wakeup: emits the periodic report and
-    /// re-arms the next one.
-    pub fn on_wakeup(&mut self) {
-        if let Some(every) = self.report_every {
-            self.report_to_controller();
-            let at = self.radio.medium().clock().now().plus(every);
-            self.radio.schedule_wakeup(at);
-        }
     }
 
     pub(crate) fn station_index(&self) -> usize {
@@ -85,11 +59,6 @@ impl SimDoorLock {
     /// Whether the bolt is currently thrown.
     pub fn is_locked(&self) -> bool {
         self.locked
-    }
-
-    /// The lock's node id.
-    pub fn node_id(&self) -> NodeId {
-        self.node_id
     }
 
     fn send(&mut self, dst: NodeId, payload: Vec<u8>) {
@@ -192,12 +161,5 @@ impl SimDoorLock {
         let report =
             self.session.encapsulate(self.home_id.0, self.node_id.0, dst.0, &[0x62, 0x03, mode]);
         self.send(dst, report);
-    }
-
-    /// Proactively reports status to the controller (step 2 of Figure 2,
-    /// the traffic the passive scanner sniffs).
-    pub fn report_to_controller(&mut self) {
-        let dst = self.controller;
-        self.report_state(dst);
     }
 }

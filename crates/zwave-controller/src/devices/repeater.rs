@@ -31,7 +31,7 @@ impl SimRepeater {
     }
 
     /// The repeater's node id.
-    pub fn node_id(&self) -> NodeId {
+    pub(crate) fn node_id(&self) -> NodeId {
         self.node_id
     }
 

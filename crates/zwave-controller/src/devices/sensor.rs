@@ -1,9 +1,8 @@
-//! An optional battery-powered S0 motion sensor: sleeps, wakes on its
-//! interval, reports through S0 encapsulation, and goes back to sleep —
+//! An optional battery-powered S0 motion sensor: sleeps, wakes when
+//! driven (`SimSensor::wake`; each normal-traffic round runs one wake
+//! cycle), reports through S0 encapsulation, and goes back to sleep —
 //! the legacy-device traffic pattern that the Wake Up command class (and
 //! bug #12's target field) exists for.
-
-use std::time::Duration;
 
 use zwave_crypto::s0::{self, S0Keys};
 use zwave_crypto::NetworkKey;
@@ -35,7 +34,6 @@ pub struct SimSensor {
     reports_sent: u32,
     seq: u8,
     nonce_counter: u64,
-    wake_every: Option<Duration>,
     coverage: CoverageMap,
 }
 
@@ -60,7 +58,6 @@ impl SimSensor {
             reports_sent: 0,
             seq: 0,
             nonce_counter: 0,
-            wake_every: None,
             coverage: CoverageMap::new(),
         }
     }
@@ -68,27 +65,6 @@ impl SimSensor {
     /// APL dispatch-edge coverage of the sensor's awake-state handler.
     pub fn coverage(&self) -> &CoverageMap {
         &self.coverage
-    }
-
-    /// Opt-in periodic wake cycle: every `every` of virtual time the
-    /// sensor wakes (announcing itself and starting its S0 report), driven
-    /// by scheduler wakeups rather than polling. Off by default.
-    pub fn enable_periodic_reports(&mut self, every: Duration) {
-        self.wake_every = Some(every);
-        let at = self.radio.medium().clock().now().plus(every);
-        self.radio.schedule_wakeup(at);
-    }
-
-    /// Handles a fired scheduler wakeup: starts a wake cycle (unless one
-    /// is already in progress) and re-arms the next one.
-    pub fn on_wakeup(&mut self) {
-        if let Some(every) = self.wake_every {
-            if self.state == SensorState::Sleeping {
-                self.wake();
-            }
-            let at = self.radio.medium().clock().now().plus(every);
-            self.radio.schedule_wakeup(at);
-        }
     }
 
     pub(crate) fn station_index(&self) -> usize {
@@ -101,11 +77,6 @@ impl SimSensor {
 
     pub(crate) fn has_pending(&self) -> bool {
         self.radio.pending() > 0
-    }
-
-    /// The sensor's node id.
-    pub fn node_id(&self) -> NodeId {
-        self.node_id
     }
 
     /// How many S0-protected reports it has delivered.

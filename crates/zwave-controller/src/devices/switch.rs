@@ -1,7 +1,5 @@
 //! The legacy no-security smart switch (testbed device D9).
 
-use std::time::Duration;
-
 use zwave_protocol::apl::ApplicationPayload;
 use zwave_protocol::{HeaderType, HomeId, MacFrame, NodeId, RoutingHeader};
 use zwave_radio::{Medium, Transceiver};
@@ -17,7 +15,6 @@ pub struct SimSwitch {
     controller: NodeId,
     on: bool,
     seq: u8,
-    report_every: Option<Duration>,
     coverage: CoverageMap,
     /// Repeater chain for reports to the controller (`None` = direct RF).
     /// Set by the network builder when the switch sits beyond the
@@ -43,7 +40,6 @@ impl SimSwitch {
             controller,
             on: false,
             seq: 0,
-            report_every: None,
             coverage: CoverageMap::new(),
             report_route: None,
             routed_acks_received: 0,
@@ -53,7 +49,7 @@ impl SimSwitch {
     /// Routes status reports through `route` (1–4 repeaters, forwarding
     /// order) instead of transmitting directly to the controller. `None`
     /// or an empty route restores direct transmission.
-    pub fn set_report_route(&mut self, route: Option<Vec<NodeId>>) {
+    pub(crate) fn set_report_route(&mut self, route: Option<Vec<NodeId>>) {
         self.report_route = route.filter(|r| !r.is_empty());
     }
 
@@ -66,25 +62,6 @@ impl SimSwitch {
     /// APL dispatch-edge coverage of the switch's command handler.
     pub fn coverage(&self) -> &CoverageMap {
         &self.coverage
-    }
-
-    /// Opt-in periodic status reports: every `every` of virtual time the
-    /// switch reports its state to the controller, driven by scheduler
-    /// wakeups rather than polling. Off by default.
-    pub fn enable_periodic_reports(&mut self, every: Duration) {
-        self.report_every = Some(every);
-        let at = self.radio.medium().clock().now().plus(every);
-        self.radio.schedule_wakeup(at);
-    }
-
-    /// Handles a fired scheduler wakeup: emits the periodic report and
-    /// re-arms the next one.
-    pub fn on_wakeup(&mut self) {
-        if let Some(every) = self.report_every {
-            self.report_to_controller();
-            let at = self.radio.medium().clock().now().plus(every);
-            self.radio.schedule_wakeup(at);
-        }
     }
 
     pub(crate) fn station_index(&self) -> usize {
@@ -102,11 +79,6 @@ impl SimSwitch {
     /// Whether the load is powered.
     pub fn is_on(&self) -> bool {
         self.on
-    }
-
-    /// The switch's node id.
-    pub fn node_id(&self) -> NodeId {
-        self.node_id
     }
 
     fn send(&mut self, dst: NodeId, payload: Vec<u8>) {
@@ -259,7 +231,7 @@ impl SimSwitch {
 
     /// Proactively reports status to the controller — through the
     /// configured repeater route when one is set, directly otherwise.
-    pub fn report_to_controller(&mut self) {
+    pub(crate) fn report_to_controller(&mut self) {
         let level = if self.on { 0xFF } else { 0x00 };
         match self.report_route.clone() {
             Some(route) => self.send_routed(self.controller, route, &[0x25, 0x03, level]),

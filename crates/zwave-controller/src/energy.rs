@@ -13,17 +13,17 @@
 /// Nominal radio transmit power while a frame is on air, in milliwatts
 /// (a 700-series Z-Wave SoC transmits at roughly +4 dBm ≈ 2.5 mW RF with
 /// ~36 mW drawn from the battery).
-pub const TX_POWER_MW: u64 = 36;
+pub(crate) const TX_POWER_MW: u64 = 36;
 
 /// Fixed cost of waking the radio for one transmission, in microjoules.
-pub const WAKE_COST_UJ: u64 = 25;
+pub(crate) const WAKE_COST_UJ: u64 = 25;
 
 /// The attack-attributable energy budget, in microjoules, whose
 /// exhaustion constitutes a `BatteryDrain` verdict. At ~169 µJ per
 /// answered nonce (20-byte report at 40 kbit/s plus the wake cost) this
 /// is two dozen answered floods — far beyond anything benign S0 traffic
 /// spends between sensor wake windows.
-pub const BATTERY_DRAIN_BUDGET_UJ: u64 = 4_000;
+pub(crate) const BATTERY_DRAIN_BUDGET_UJ: u64 = 4_000;
 
 /// Energy to transmit a `frame_len`-byte frame: airtime at `bitrate`
 /// times the TX draw, plus the fixed wake cost.
@@ -33,7 +33,7 @@ pub fn tx_cost_uj(frame_len: usize, bitrate: u32) -> u64 {
 }
 
 /// Energy to transmit `frame_len` bytes at the default Z-Wave R2 rate.
-pub fn tx_cost_default_uj(frame_len: usize) -> u64 {
+pub(crate) fn tx_cost_default_uj(frame_len: usize) -> u64 {
     tx_cost_uj(frame_len, zwave_radio::medium::DEFAULT_BITRATE)
 }
 

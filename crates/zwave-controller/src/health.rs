@@ -27,7 +27,7 @@ pub enum Health {
 
 impl Health {
     /// Whether the device responds at `now`.
-    pub fn is_responsive(self, now: SimInstant) -> bool {
+    pub(crate) fn is_responsive(self, now: SimInstant) -> bool {
         match self {
             Health::Operational => true,
             Health::BusyUntil(until) => now >= until,
@@ -37,7 +37,7 @@ impl Health {
 
     /// Collapses an expired busy state back to operational.
     #[must_use]
-    pub fn settled(self, now: SimInstant) -> Health {
+    pub(crate) fn settled(self, now: SimInstant) -> Health {
         match self {
             Health::BusyUntil(until) if now >= until => Health::Operational,
             other => other,
@@ -161,12 +161,12 @@ pub struct FaultLog {
 
 impl FaultLog {
     /// Creates an empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FaultLog::default()
     }
 
     /// Appends a record.
-    pub fn push(&mut self, record: FaultRecord) {
+    pub(crate) fn push(&mut self, record: FaultRecord) {
         self.records.push(record);
     }
 
@@ -184,43 +184,11 @@ impl FaultLog {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// Distinct bug ids observed, ascending.
-    pub fn unique_bug_ids(&self) -> Vec<u8> {
-        let mut ids: Vec<u8> = self.records.iter().map(|r| r.bug_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// First occurrence of each bug id, in firing order.
-    pub fn first_occurrences(&self) -> Vec<&FaultRecord> {
-        let mut seen = std::collections::HashSet::new();
-        self.records.iter().filter(|r| seen.insert(r.bug_id)).collect()
-    }
-
-    /// Clears the log (between fuzzing trials).
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(bug_id: u8, at_us: u64) -> FaultRecord {
-        FaultRecord {
-            at: SimInstant::ZERO.plus(Duration::from_micros(at_us)),
-            bug_id,
-            cmdcl: 0x01,
-            cmd: 0x0D,
-            effect: EffectKind::RogueNodeInserted,
-            root_cause: RootCause::Specification,
-            outage: None,
-            trigger: vec![0x01, 0x0D, 0x0A],
-        }
-    }
 
     #[test]
     fn health_responsiveness() {
@@ -240,28 +208,6 @@ mod tests {
         assert_eq!(busy.settled(SimInstant::ZERO), busy);
         assert_eq!(busy.settled(t5), Health::Operational);
         assert_eq!(Health::Down.settled(t5), Health::Down);
-    }
-
-    #[test]
-    fn fault_log_dedupes_bug_ids() {
-        let mut log = FaultLog::new();
-        assert!(log.is_empty());
-        log.push(rec(2, 10));
-        log.push(rec(2, 20));
-        log.push(rec(7, 30));
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.unique_bug_ids(), vec![2, 7]);
-        let firsts = log.first_occurrences();
-        assert_eq!(firsts.len(), 2);
-        assert_eq!(firsts[0].at.as_micros(), 10);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut log = FaultLog::new();
-        log.push(rec(1, 1));
-        log.clear();
-        assert!(log.is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub struct HostProgram {
 
 impl HostProgram {
     /// A freshly started program.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HostProgram::default()
     }
 
@@ -50,18 +50,18 @@ impl HostProgram {
     }
 
     /// Crash the program (bug #06).
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.crash_count += 1;
         self.state = HostState::Crashed;
     }
 
     /// Enter persistent DoS (bug #13).
-    pub fn deny_service(&mut self) {
+    pub(crate) fn deny_service(&mut self) {
         self.state = HostState::DeniedService;
     }
 
     /// Operator restarts the program.
-    pub fn restart(&mut self) {
+    pub(crate) fn restart(&mut self) {
         self.state = HostState::Running;
     }
 }
@@ -81,12 +81,11 @@ pub enum AppState {
 #[derive(Debug, Clone, Default)]
 pub struct AppLink {
     state: AppState,
-    dos_count: u32,
 }
 
 impl AppLink {
     /// A healthy link.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AppLink::default()
     }
 
@@ -95,24 +94,13 @@ impl AppLink {
         self.state
     }
 
-    /// Whether the homeowner can control the home right now.
-    pub fn is_reachable(&self) -> bool {
-        self.state == AppState::Reachable
-    }
-
-    /// Number of DoS events so far.
-    pub fn dos_count(&self) -> u32 {
-        self.dos_count
-    }
-
     /// Puts the app link into denial of service.
-    pub fn deny_service(&mut self) {
-        self.dos_count += 1;
+    pub(crate) fn deny_service(&mut self) {
         self.state = AppState::DeniedService;
     }
 
     /// Recovery after the attack stops and the hub re-syncs.
-    pub fn recover(&mut self) {
+    pub(crate) fn recover(&mut self) {
         self.state = AppState::Reachable;
     }
 }
@@ -148,11 +136,10 @@ mod tests {
     #[test]
     fn app_dos_and_recovery() {
         let mut app = AppLink::new();
-        assert!(app.is_reachable());
+        assert_eq!(app.state(), AppState::Reachable);
         app.deny_service();
-        assert!(!app.is_reachable());
-        assert_eq!(app.dos_count(), 1);
+        assert_eq!(app.state(), AppState::DeniedService);
         app.recover();
-        assert!(app.is_reachable());
+        assert_eq!(app.state(), AppState::Reachable);
     }
 }

@@ -127,11 +127,6 @@ impl Ids {
         }
     }
 
-    /// Whether the IDS is still learning.
-    pub fn is_training(&self) -> bool {
-        self.training
-    }
-
     /// Ends the training window; subsequent frames are scored.
     pub fn finish_training(&mut self) {
         self.training = false;
@@ -150,11 +145,6 @@ impl Ids {
     /// Detection statistics.
     pub fn stats(&self) -> IdsStats {
         self.stats
-    }
-
-    /// Drains the alert list.
-    pub fn take_alerts(&mut self) -> Vec<Alert> {
-        std::mem::take(&mut self.alerts)
     }
 
     /// Feeds one sniffed frame. During training the model absorbs it;
@@ -348,13 +338,5 @@ mod tests {
             .observe(&frame(0xDEADBEEF, 0x55, 0x01, vec![0x01, 0x0D, 0x02]), SimInstant::ZERO)
             .is_none());
         assert_eq!(ids.stats().frames_seen, 0);
-    }
-
-    #[test]
-    fn take_alerts_drains() {
-        let mut ids = trained_ids();
-        ids.observe(&frame(0xCB95A34A, 0x03, 0x01, vec![0x01, 0x0D, 0x02]), SimInstant::ZERO);
-        assert_eq!(ids.take_alerts().len(), 1);
-        assert!(ids.alerts().is_empty());
     }
 }

@@ -17,7 +17,7 @@ use zwave_radio::{FrameBuf, SimInstant, TimerToken};
 /// Must stay below the 16-value sequence-number space so a legitimately
 /// repeated payload (e.g. periodic NOP pings) re-enters with a fresh
 /// sequence number before its old copy ages out.
-pub const DUP_WINDOW: usize = 8;
+pub(crate) const DUP_WINDOW: usize = 8;
 
 /// Retry/timeout configuration for acknowledged transmissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,14 +41,9 @@ impl Default for LinkPolicy {
 }
 
 impl LinkPolicy {
-    /// A policy that never retransmits (pre-impairment behaviour).
-    pub fn no_retransmit() -> Self {
-        LinkPolicy { max_retries: 0, ..LinkPolicy::default() }
-    }
-
     /// The ack wait after `attempts` transmissions have been made:
     /// `ack_timeout * backoff^(attempts-1)`, saturating.
-    pub fn wait_after(&self, attempts: u32) -> Duration {
+    pub(crate) fn wait_after(&self, attempts: u32) -> Duration {
         let factor = u64::from(self.backoff.max(1)).saturating_pow(attempts.saturating_sub(1));
         self.ack_timeout.saturating_mul(factor.min(u64::from(u32::MAX)) as u32)
     }
@@ -104,10 +99,5 @@ mod tests {
         assert_eq!(policy.wait_after(3), Duration::from_millis(1400));
         let flat = LinkPolicy { backoff: 1, ..policy };
         assert_eq!(flat.wait_after(3), Duration::from_millis(350));
-    }
-
-    #[test]
-    fn no_retransmit_policy_has_zero_retries() {
-        assert_eq!(LinkPolicy::no_retransmit().max_retries, 0);
     }
 }

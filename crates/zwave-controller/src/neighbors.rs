@@ -49,7 +49,7 @@ impl NeighborTable {
     }
 
     /// Records a symmetric link with an explicit freshness budget.
-    pub fn add_link_with_freshness(&mut self, a: NodeId, b: NodeId, freshness: u32) {
+    pub(crate) fn add_link_with_freshness(&mut self, a: NodeId, b: NodeId, freshness: u32) {
         self.links.insert(Self::key(a, b), freshness);
     }
 
@@ -64,7 +64,7 @@ impl NeighborTable {
     }
 
     /// Live neighbors of `node`, in ascending node-id order.
-    pub fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
+    pub(crate) fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
             .links
             .iter()

@@ -33,7 +33,6 @@ pub struct HomeNetwork {
     sensor: Option<SimSensor>,
     repeaters: Vec<SimRepeater>,
     neighbors: NeighborTable,
-    topology: Topology,
     /// Pumps cut off at [`PUMP_ROUNDS`] while their last round still made
     /// progress.
     pump_cap_hits: u64,
@@ -143,8 +142,7 @@ impl HomeNetwork {
         }
         let neighbors = plan.neighbor_table();
 
-        let lock =
-            SimDoorLock::new(&medium, 8.0, home_id, LOCK_NODE, NodeId::CONTROLLER, lock_session);
+        let lock = SimDoorLock::new(&medium, 8.0, home_id, LOCK_NODE, lock_session);
         // The switch sits far on routed topologies — past the repeater
         // positions — and near on the flat star.
         let switch_pos = if plan.repeaters.is_empty() { 12.0 } else { 30.0 };
@@ -193,7 +191,6 @@ impl HomeNetwork {
             sensor,
             repeaters,
             neighbors,
-            topology,
             pump_cap_hits: 0,
         }
     }
@@ -223,21 +220,6 @@ impl HomeNetwork {
         &self.lock
     }
 
-    /// Mutable access to the door lock slave.
-    pub fn lock_mut(&mut self) -> &mut SimDoorLock {
-        &mut self.lock
-    }
-
-    /// The smart switch slave.
-    pub fn switch(&self) -> &SimSwitch {
-        &self.switch
-    }
-
-    /// Mutable access to the smart switch slave.
-    pub fn switch_mut(&mut self) -> &mut SimSwitch {
-        &mut self.switch
-    }
-
     /// The optional S0 sensor.
     pub fn sensor(&self) -> Option<&SimSensor> {
         self.sensor.as_ref()
@@ -246,26 +228,6 @@ impl HomeNetwork {
     /// Mutable access to the optional sensor.
     pub fn sensor_mut(&mut self) -> Option<&mut SimSensor> {
         self.sensor.as_mut()
-    }
-
-    /// The home's topology.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    /// The home's neighbor table (current freshness state).
-    pub fn neighbors(&self) -> &NeighborTable {
-        &self.neighbors
-    }
-
-    /// The repeater population.
-    pub fn repeaters(&self) -> &[SimRepeater] {
-        &self.repeaters
-    }
-
-    /// Sets the controller's link-layer retry/timeout policy.
-    pub fn set_link_policy(&mut self, policy: crate::link::LinkPolicy) {
-        self.controller.set_link_policy(policy);
     }
 
     /// The repeater chain an injected frame must traverse to reach the
@@ -340,17 +302,6 @@ impl HomeNetwork {
         let sensor_idx = self.sensor.as_ref().map(|s| s.station_index());
         for _ in 0..PUMP_ROUNDS {
             let fired = self.medium.take_fired_actors();
-            for &actor in &fired {
-                if actor == lock_idx {
-                    self.lock.on_wakeup();
-                } else if actor == switch_idx {
-                    self.switch.on_wakeup();
-                } else if Some(actor) == sensor_idx {
-                    if let Some(sensor) = &mut self.sensor {
-                        sensor.on_wakeup();
-                    }
-                }
-            }
             let mut progressed = false;
             if fired.contains(&ctrl_idx) || self.controller.has_pending() {
                 self.controller.poll();
@@ -417,7 +368,7 @@ mod tests {
     #[test]
     fn star_homes_have_no_repeaters_or_injection_route() {
         let home = HomeNetwork::new(DeviceModel::D1, Topology::Star, 5);
-        assert!(home.repeaters().is_empty());
+        assert!(home.repeaters.is_empty());
         assert_eq!(home.injection_route(), None);
     }
 
@@ -437,12 +388,12 @@ mod tests {
     #[test]
     fn normal_traffic_traverses_the_mesh_end_to_end() {
         let mut home = HomeNetwork::new(DeviceModel::D1, Topology::Line, 3);
-        let before: u64 = home.repeaters().iter().map(|r| r.frames_forwarded()).sum();
+        let before: u64 = home.repeaters.iter().map(|r| r.frames_forwarded()).sum();
         home.exchange_normal_traffic();
-        let after: u64 = home.repeaters().iter().map(|r| r.frames_forwarded()).sum();
+        let after: u64 = home.repeaters.iter().map(|r| r.frames_forwarded()).sum();
         assert!(after > before, "repeaters relayed the routed switch report");
         assert!(
-            home.switch().routed_acks_received() > 0,
+            home.switch.routed_acks_received() > 0,
             "the routed ack made it back to the switch"
         );
     }
@@ -453,9 +404,9 @@ mod tests {
         // The switch-side first hop of the route is the link normal
         // traffic must age.
         let first = home.injection_route().unwrap()[0];
-        let fresh_before = home.neighbors().freshness(SWITCH_NODE, first);
+        let fresh_before = home.neighbors.freshness(SWITCH_NODE, first);
         home.exchange_normal_traffic();
-        let fresh_after = home.neighbors().freshness(SWITCH_NODE, first);
+        let fresh_after = home.neighbors.freshness(SWITCH_NODE, first);
         assert!(fresh_after < fresh_before, "link to {first:?} did not age");
     }
 
@@ -482,7 +433,7 @@ mod tests {
         assert_eq!(a.controller().home_id(), b.controller().home_id());
         assert_eq!(a.sensor().is_some(), b.sensor().is_some());
         assert_eq!(a.injection_route(), b.injection_route());
-        assert_eq!(a.repeaters().len(), b.repeaters().len());
+        assert_eq!(a.repeaters.len(), b.repeaters.len());
     }
 
     #[test]

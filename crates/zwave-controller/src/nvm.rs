@@ -61,7 +61,7 @@ pub struct NodeDatabase {
 
 impl NodeDatabase {
     /// An empty database.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NodeDatabase::default()
     }
 
@@ -72,7 +72,7 @@ impl NodeDatabase {
     }
 
     /// Removes a node entry.
-    pub fn remove(&mut self, node_id: NodeId) -> Option<NodeRecord> {
+    pub(crate) fn remove(&mut self, node_id: NodeId) -> Option<NodeRecord> {
         let removed = self.nodes.remove(&node_id.0);
         if removed.is_some() {
             self.generation += 1;
@@ -86,7 +86,7 @@ impl NodeDatabase {
     }
 
     /// Mutable lookup (bumps the generation counter).
-    pub fn get_mut(&mut self, node_id: NodeId) -> Option<&mut NodeRecord> {
+    pub(crate) fn get_mut(&mut self, node_id: NodeId) -> Option<&mut NodeRecord> {
         let entry = self.nodes.get_mut(&node_id.0);
         if entry.is_some() {
             self.generation += 1;
@@ -109,13 +109,8 @@ impl NodeDatabase {
         self.nodes.is_empty()
     }
 
-    /// Iterates entries in ascending node-id order.
-    pub fn iter(&self) -> impl Iterator<Item = &NodeRecord> {
-        self.nodes.values()
-    }
-
     /// Removes every entry (bug #04's database overwrite starts here).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.generation += 1;
         self.nodes.clear();
     }
@@ -133,7 +128,7 @@ impl NodeDatabase {
     }
 
     /// Restores the table from a snapshot (factory reset between trials).
-    pub fn restore(&mut self, snapshot: &NodeDatabase) {
+    pub(crate) fn restore(&mut self, snapshot: &NodeDatabase) {
         self.nodes = snapshot.nodes.clone();
         self.generation += 1;
     }
@@ -240,15 +235,5 @@ mod tests {
         assert!(dump.contains("slave"));
         assert!(dump.contains("S2"));
         assert!(dump.contains("3600s"));
-    }
-
-    #[test]
-    fn iteration_is_ordered() {
-        let mut db = NodeDatabase::new();
-        db.insert(NodeRecord::new(NodeId(10), BasicDeviceType::Slave));
-        db.insert(NodeRecord::new(NodeId(1), BasicDeviceType::StaticController));
-        db.insert(NodeRecord::new(NodeId(200), BasicDeviceType::Controller));
-        let ids: Vec<u8> = db.iter().map(|r| r.node_id.0).collect();
-        assert_eq!(ids, vec![1, 10, 200]);
     }
 }

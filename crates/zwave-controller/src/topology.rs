@@ -12,7 +12,7 @@ use crate::neighbors::NeighborTable;
 use crate::testbed::{LOCK_NODE, SENSOR_NODE, SWITCH_NODE};
 
 /// First repeater node id (0x05 is reserved for the scenario ghost node).
-pub const FIRST_REPEATER: u8 = 0x06;
+pub(crate) const FIRST_REPEATER: u8 = 0x06;
 
 /// How a home's nodes are wired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,7 +36,7 @@ impl Topology {
     }
 
     /// The CLI name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Topology::Star => "star",
             Topology::Line => "line",
@@ -55,7 +55,7 @@ impl Topology {
     }
 
     /// Builds the deterministic wiring plan for one home.
-    pub fn plan(self, seed: u64) -> TopologyPlan {
+    pub(crate) fn plan(self, seed: u64) -> TopologyPlan {
         let ctrl = NodeId::CONTROLLER;
         match self {
             Topology::Star => TopologyPlan {
@@ -121,7 +121,7 @@ impl std::fmt::Display for Topology {
 
 /// The wiring plan [`Topology::plan`] produces for one home.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopologyPlan {
+pub(crate) struct TopologyPlan {
     /// Repeater node ids, ascending from [`FIRST_REPEATER`].
     pub repeaters: Vec<NodeId>,
     /// Direct-neighbor pairs (symmetric; deduplication is the neighbor
@@ -131,7 +131,7 @@ pub struct TopologyPlan {
 
 impl TopologyPlan {
     /// Materializes the plan as a fresh neighbor table.
-    pub fn neighbor_table(&self) -> NeighborTable {
+    pub(crate) fn neighbor_table(&self) -> NeighborTable {
         let mut table = NeighborTable::new();
         for &(a, b) in &self.links {
             table.add_link(a, b);

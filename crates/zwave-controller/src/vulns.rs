@@ -117,21 +117,21 @@ pub struct VulnContext<'a> {
 pub mod outage {
     use std::time::Duration;
     /// Bug #07.
-    pub const BUG07: Duration = Duration::from_secs(68);
+    pub(crate) const BUG07: Duration = Duration::from_secs(68);
     /// Bug #08.
-    pub const BUG08: Duration = Duration::from_secs(67);
+    pub(crate) const BUG08: Duration = Duration::from_secs(67);
     /// Bug #09.
-    pub const BUG09: Duration = Duration::from_secs(63);
+    pub(crate) const BUG09: Duration = Duration::from_secs(63);
     /// Bug #10.
-    pub const BUG10: Duration = Duration::from_secs(4);
+    pub(crate) const BUG10: Duration = Duration::from_secs(4);
     /// Bug #11.
-    pub const BUG11: Duration = Duration::from_secs(62);
+    pub(crate) const BUG11: Duration = Duration::from_secs(62);
     /// Bug #14 ("over four minutes").
-    pub const BUG14: Duration = Duration::from_secs(240);
+    pub(crate) const BUG14: Duration = Duration::from_secs(240);
     /// Bug #15.
-    pub const BUG15: Duration = Duration::from_secs(59);
+    pub(crate) const BUG15: Duration = Duration::from_secs(59);
     /// Bug #19 (routed dispatch only).
-    pub const BUG19: Duration = Duration::from_secs(45);
+    pub(crate) const BUG19: Duration = Duration::from_secs(45);
 }
 
 fn hit(
@@ -385,14 +385,14 @@ pub fn check(payload: &ApplicationPayload, ctx: &VulnContext<'_>) -> Option<Trig
 /// battery-drain flaw when the unencrypted request claims to come from an
 /// included node the controller itself has marked offline — a healthy S0
 /// peer would be awake and requesting on its own behalf.
-pub fn offline_nonce_flaw(src: u8, ctx: &VulnContext<'_>) -> bool {
+pub(crate) fn offline_nonce_flaw(src: u8, ctx: &VulnContext<'_>) -> bool {
     !ctx.encrypted && ctx.nvm.get(zwave_protocol::NodeId(src)).is_some_and(|rec| rec.offline)
 }
 
 /// Bug #18 (Crushing the Wave) predicate: an unencrypted S0 `KEY_SET`
 /// carrying a full 16-byte key, arriving after the downgrade was
 /// accepted, resets the network key without user confirmation.
-pub fn key_reset_flaw(params_len: usize, ctx: &VulnContext<'_>) -> bool {
+pub(crate) fn key_reset_flaw(params_len: usize, ctx: &VulnContext<'_>) -> bool {
     !ctx.encrypted && ctx.downgrade_active && params_len >= 16
 }
 
@@ -408,11 +408,11 @@ pub struct MacQuirk {
 }
 
 /// Outage a MAC quirk causes (a brief hiccup).
-pub const MAC_QUIRK_OUTAGE: Duration = Duration::from_secs(2);
+pub(crate) const MAC_QUIRK_OUTAGE: Duration = Duration::from_secs(2);
 
 /// Evaluates the model's MAC quirks against a raw frame that already
 /// matched our home id. Returns the first quirk that fires.
-pub fn check_mac_quirks(quirks: &[MacQuirk], raw: &[u8]) -> Option<MacQuirk> {
+pub(crate) fn check_mac_quirks(quirks: &[MacQuirk], raw: &[u8]) -> Option<MacQuirk> {
     for quirk in quirks {
         let fires = match quirk.id {
             // LEN declared as zero.

@@ -88,16 +88,4 @@ proptest! {
             prop_assert_eq!(map.record(cc, cmd, st), seen.insert((cc, cmd, st)));
         }
     }
-
-    /// The sparse serialization round-trips: a map rebuilt from its
-    /// sorted edge-id list is bit-identical, and the list itself is
-    /// sorted, deduplicated and sized to `edges()`.
-    #[test]
-    fn edge_id_serialization_round_trips(edges in arb_edges()) {
-        let map = map_of(&edges);
-        let ids = map.edge_ids();
-        prop_assert_eq!(ids.len() as u64, map.edges());
-        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids sorted strictly ascending");
-        prop_assert_eq!(CoverageMap::from_edge_ids(&ids), map);
-    }
 }

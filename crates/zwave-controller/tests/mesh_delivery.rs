@@ -43,7 +43,6 @@ fn pump(repeaters: &mut [SimRepeater], switch: &mut SimSwitch) {
 fn golden_routed_frame_is_delivered_through_live_repeaters() {
     let medium = Medium::new(SimClock::new(), 7);
     let sniffer = medium.attach(70.0);
-    sniffer.set_promiscuous(true);
 
     let mut repeaters = vec![
         SimRepeater::new(&medium, 16.0, HOME, NodeId(0x03)),
@@ -101,7 +100,6 @@ fn delivery_works_for_every_legal_chain_length() {
     for hops in 1usize..=4 {
         let medium = Medium::new(SimClock::new(), 7);
         let injector = medium.attach(70.0);
-        injector.set_promiscuous(true);
 
         let chain: Vec<NodeId> = (0..hops).map(|i| NodeId(0x10 + i as u8)).collect();
         let mut repeaters: Vec<SimRepeater> = chain

@@ -62,7 +62,7 @@ fn world() -> World {
     config.home_id = HOME;
     let controller = SimController::new(config, &medium, 0.0);
     let session = S2Session::responder(network_keys(&lock_key()), &SEI, &REI);
-    let lock = SimDoorLock::new(&medium, 8.0, HOME, LOCK_NODE, NodeId::CONTROLLER, session);
+    let lock = SimDoorLock::new(&medium, 8.0, HOME, LOCK_NODE, session);
     let switch = SimSwitch::new(&medium, 12.0, HOME, SWITCH_NODE, NodeId::CONTROLLER);
     // The sensor reports to an absent hub, so waking it (to make it read
     // its ring) draws no reply.

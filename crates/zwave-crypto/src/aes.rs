@@ -25,17 +25,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// The inverse S-box.
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
-
 /// Round constants for key expansion.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
@@ -43,20 +32,6 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x
 #[inline]
 fn xtime(a: u8) -> u8 {
     (a << 1) ^ (((a >> 7) & 1) * 0x1b)
-}
-
-/// General GF(2^8) multiplication.
-#[inline]
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
 }
 
 /// An expanded AES-128 key schedule (11 round keys).
@@ -102,7 +77,7 @@ impl Aes128 {
     }
 
     /// Encrypts one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    pub(crate) fn encrypt_block(&self, block: &mut [u8; 16]) {
         add_round_key(block, &self.round_keys[0]);
         for round in 1..10 {
             sub_bytes(block);
@@ -115,31 +90,10 @@ impl Aes128 {
         add_round_key(block, &self.round_keys[10]);
     }
 
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[10]);
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        for round in (1..10).rev() {
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-        }
-        add_round_key(block, &self.round_keys[0]);
-    }
-
     /// Convenience: encrypts a copy of `block`.
     pub fn encrypt(&self, block: [u8; 16]) -> [u8; 16] {
         let mut b = block;
         self.encrypt_block(&mut b);
-        b
-    }
-
-    /// Convenience: decrypts a copy of `block`.
-    pub fn decrypt(&self, block: [u8; 16]) -> [u8; 16] {
-        let mut b = block;
-        self.decrypt_block(&mut b);
         b
     }
 }
@@ -158,13 +112,6 @@ fn sub_bytes(state: &mut [u8; 16]) {
     }
 }
 
-#[inline]
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
 // State layout: column-major, state[r + 4c] is row r, column c.
 #[inline]
 fn shift_rows(state: &mut [u8; 16]) {
@@ -177,16 +124,6 @@ fn shift_rows(state: &mut [u8; 16]) {
 }
 
 #[inline]
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
-        }
-    }
-}
-
-#[inline]
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
         let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
@@ -194,21 +131,6 @@ fn mix_columns(state: &mut [u8; 16]) {
         state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
         state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
         state[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
-}
-
-#[inline]
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        state[4 * c] =
-            gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
-        state[4 * c + 1] =
-            gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
-        state[4 * c + 2] =
-            gmul(col[0], 0x0d) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0e) ^ gmul(col[3], 0x0b);
-        state[4 * c + 3] =
-            gmul(col[0], 0x0b) ^ gmul(col[1], 0x0d) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0e);
     }
 }
 
@@ -233,7 +155,6 @@ mod tests {
         ];
         let aes = Aes128::new(&key);
         assert_eq!(aes.encrypt(pt), expected);
-        assert_eq!(aes.decrypt(expected), pt);
     }
 
     #[test]
@@ -247,17 +168,6 @@ mod tests {
         ];
         let aes = Aes128::new(&key);
         assert_eq!(aes.encrypt(pt), expected);
-        assert_eq!(aes.decrypt(expected), pt);
-    }
-
-    #[test]
-    fn encrypt_then_decrypt_is_identity() {
-        let aes = Aes128::new(&[7u8; 16]);
-        for i in 0u8..32 {
-            let block: [u8; 16] =
-                core::array::from_fn(|j| i.wrapping_mul(17).wrapping_add(j as u8));
-            assert_eq!(aes.decrypt(aes.encrypt(block)), block);
-        }
     }
 
     #[test]
@@ -271,19 +181,5 @@ mod tests {
     fn debug_hides_key_material() {
         let aes = Aes128::new(&[0x42; 16]);
         assert_eq!(format!("{aes:?}"), "Aes128 { .. }");
-    }
-
-    #[test]
-    fn gf_multiplication_basics() {
-        assert_eq!(gmul(0x57, 0x02), 0xae);
-        assert_eq!(gmul(0x57, 0x13), 0xfe); // FIPS 197 §4.2.1 example
-        assert_eq!(gmul(0x01, 0xFF), 0xFF);
-    }
-
-    #[test]
-    fn inv_sbox_inverts_sbox() {
-        for i in 0..=255u8 {
-            assert_eq!(INV_SBOX[SBOX[i as usize] as usize], i);
-        }
     }
 }

@@ -113,10 +113,8 @@ fn ctr_block(nonce: &[u8], q: usize, counter: u64) -> [u8; 16] {
 }
 
 /// Encrypts and authenticates with a prebuilt cipher: returns
-/// `ciphertext || tag`. This is the hot-path entry point — callers that
-/// seal many frames under one key (the S2 session) expand the key schedule
-/// once and pass it here, instead of paying the expansion per frame as the
-/// byte-key wrapper [`seal`] does.
+/// `ciphertext || tag`. Callers that seal many frames under one key (the
+/// S2 session) expand the key schedule once and pass it here.
 ///
 /// # Errors
 ///
@@ -148,25 +146,8 @@ pub fn seal_with(
     Ok(out)
 }
 
-/// Encrypts and authenticates, expanding `key` for this one call. Cold
-/// convenience wrapper over [`seal_with`].
-///
-/// # Errors
-///
-/// Same as [`seal_with`].
-pub fn seal(
-    key: &[u8; 16],
-    nonce: &[u8],
-    aad: &[u8],
-    plaintext: &[u8],
-    tag_len: usize,
-) -> Result<Vec<u8>, CcmError> {
-    seal_with(&Aes128::new(key), nonce, aad, plaintext, tag_len)
-}
-
 /// Verifies and decrypts `ciphertext || tag` with a prebuilt cipher;
-/// returns the plaintext. Hot-path counterpart of [`open`], as
-/// [`seal_with`] is to [`seal`].
+/// returns the plaintext. The counterpart of [`seal_with`].
 ///
 /// # Errors
 ///
@@ -202,22 +183,6 @@ pub fn open_with(
     Ok(pt)
 }
 
-/// Verifies and decrypts, expanding `key` for this one call. Cold
-/// convenience wrapper over [`open_with`].
-///
-/// # Errors
-///
-/// Same as [`open_with`].
-pub fn open(
-    key: &[u8; 16],
-    nonce: &[u8],
-    aad: &[u8],
-    sealed: &[u8],
-    tag_len: usize,
-) -> Result<Vec<u8>, CcmError> {
-    open_with(&Aes128::new(key), nonce, aad, sealed, tag_len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,9 +197,9 @@ mod tests {
         let nonce = [0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16];
         let aad = [0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07];
         let pt = [0x20, 0x21, 0x22, 0x23];
-        let sealed = seal(&KEY, &nonce, &aad, &pt, 4).unwrap();
+        let sealed = seal_with(&Aes128::new(&KEY), &nonce, &aad, &pt, 4).unwrap();
         assert_eq!(sealed, vec![0x71, 0x62, 0x01, 0x5b, 0x4d, 0xac, 0x25, 0x5d]);
-        assert_eq!(open(&KEY, &nonce, &aad, &sealed, 4).unwrap(), pt);
+        assert_eq!(open_with(&Aes128::new(&KEY), &nonce, &aad, &sealed, 4).unwrap(), pt);
     }
 
     #[test]
@@ -242,13 +207,13 @@ mod tests {
         let nonce = [0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17];
         let aad: Vec<u8> = (0x00..=0x0f).collect();
         let pt: Vec<u8> = (0x20..=0x2f).collect();
-        let sealed = seal(&KEY, &nonce, &aad, &pt, 6).unwrap();
+        let sealed = seal_with(&Aes128::new(&KEY), &nonce, &aad, &pt, 6).unwrap();
         let expected: Vec<u8> = vec![
             0xd2, 0xa1, 0xf0, 0xe0, 0x51, 0xea, 0x5f, 0x62, 0x08, 0x1a, 0x77, 0x92, 0x07, 0x3d,
             0x59, 0x3d, 0x1f, 0xc6, 0x4f, 0xbf, 0xac, 0xcd,
         ];
         assert_eq!(sealed, expected);
-        assert_eq!(open(&KEY, &nonce, &aad, &sealed, 6).unwrap(), pt);
+        assert_eq!(open_with(&Aes128::new(&KEY), &nonce, &aad, &sealed, 6).unwrap(), pt);
     }
 
     #[test]
@@ -257,47 +222,74 @@ mod tests {
         let nonce = [9u8; 13];
         let aad = [0xE7, 0xDE, 0x3F, 0x3D, 0x01, 0x02];
         let pt = b"\x62\x01\xFF door lock set";
-        let sealed = seal(&KEY, &nonce, &aad, pt, 8).unwrap();
+        let sealed = seal_with(&Aes128::new(&KEY), &nonce, &aad, pt, 8).unwrap();
         assert_eq!(sealed.len(), pt.len() + 8);
-        assert_eq!(open(&KEY, &nonce, &aad, &sealed, 8).unwrap(), pt);
+        assert_eq!(open_with(&Aes128::new(&KEY), &nonce, &aad, &sealed, 8).unwrap(), pt);
     }
 
     #[test]
     fn tampering_is_detected() {
         let nonce = [1u8; 13];
-        let sealed = seal(&KEY, &nonce, b"aad", b"payload", 8).unwrap();
+        let sealed = seal_with(&Aes128::new(&KEY), &nonce, b"aad", b"payload", 8).unwrap();
         for i in 0..sealed.len() {
             let mut bad = sealed.clone();
             bad[i] ^= 0x01;
-            assert_eq!(open(&KEY, &nonce, b"aad", &bad, 8), Err(CcmError::AuthFailed));
+            assert_eq!(
+                open_with(&Aes128::new(&KEY), &nonce, b"aad", &bad, 8),
+                Err(CcmError::AuthFailed)
+            );
         }
         // Wrong AAD also fails.
-        assert_eq!(open(&KEY, &nonce, b"aae", &sealed, 8), Err(CcmError::AuthFailed));
+        assert_eq!(
+            open_with(&Aes128::new(&KEY), &nonce, b"aae", &sealed, 8),
+            Err(CcmError::AuthFailed)
+        );
         // Wrong nonce also fails.
-        assert_eq!(open(&KEY, &[2u8; 13], b"aad", &sealed, 8), Err(CcmError::AuthFailed));
+        assert_eq!(
+            open_with(&Aes128::new(&KEY), &[2u8; 13], b"aad", &sealed, 8),
+            Err(CcmError::AuthFailed)
+        );
     }
 
     #[test]
     fn parameter_validation() {
-        assert_eq!(seal(&KEY, &[0u8; 6], b"", b"", 8), Err(CcmError::BadNonceLen(6)));
-        assert_eq!(seal(&KEY, &[0u8; 14], b"", b"", 8), Err(CcmError::BadNonceLen(14)));
-        assert_eq!(seal(&KEY, &[0u8; 13], b"", b"", 3), Err(CcmError::BadTagLen(3)));
-        assert_eq!(seal(&KEY, &[0u8; 13], b"", b"", 7), Err(CcmError::BadTagLen(7)));
-        assert_eq!(open(&KEY, &[0u8; 13], b"", &[0u8; 4], 8), Err(CcmError::AuthFailed));
+        assert_eq!(
+            seal_with(&Aes128::new(&KEY), &[0u8; 6], b"", b"", 8),
+            Err(CcmError::BadNonceLen(6))
+        );
+        assert_eq!(
+            seal_with(&Aes128::new(&KEY), &[0u8; 14], b"", b"", 8),
+            Err(CcmError::BadNonceLen(14))
+        );
+        assert_eq!(
+            seal_with(&Aes128::new(&KEY), &[0u8; 13], b"", b"", 3),
+            Err(CcmError::BadTagLen(3))
+        );
+        assert_eq!(
+            seal_with(&Aes128::new(&KEY), &[0u8; 13], b"", b"", 7),
+            Err(CcmError::BadTagLen(7))
+        );
+        assert_eq!(
+            open_with(&Aes128::new(&KEY), &[0u8; 13], b"", &[0u8; 4], 8),
+            Err(CcmError::AuthFailed)
+        );
     }
 
     #[test]
     fn empty_plaintext_is_a_pure_mac() {
         let nonce = [3u8; 13];
-        let sealed = seal(&KEY, &nonce, b"header only", b"", 8).unwrap();
+        let sealed = seal_with(&Aes128::new(&KEY), &nonce, b"header only", b"", 8).unwrap();
         assert_eq!(sealed.len(), 8);
-        assert_eq!(open(&KEY, &nonce, b"header only", &sealed, 8).unwrap(), Vec::<u8>::new());
+        assert_eq!(
+            open_with(&Aes128::new(&KEY), &nonce, b"header only", &sealed, 8).unwrap(),
+            Vec::<u8>::new()
+        );
     }
 
     #[test]
     fn empty_aad_roundtrip() {
         let nonce = [4u8; 13];
-        let sealed = seal(&KEY, &nonce, b"", b"plain", 8).unwrap();
-        assert_eq!(open(&KEY, &nonce, b"", &sealed, 8).unwrap(), b"plain");
+        let sealed = seal_with(&Aes128::new(&KEY), &nonce, b"", b"plain", 8).unwrap();
+        assert_eq!(open_with(&Aes128::new(&KEY), &nonce, b"", &sealed, 8).unwrap(), b"plain");
     }
 }

@@ -26,7 +26,7 @@ fn dbl(block: &[u8; 16]) -> [u8; 16] {
 /// these; the free functions below re-expand per call and are only meant
 /// for cold one-shot uses such as key derivation.
 #[derive(Clone)]
-pub struct CmacKey {
+pub(crate) struct CmacKey {
     key: [u8; 16],
     aes: Aes128,
     k1: [u8; 16],
@@ -50,20 +50,15 @@ impl Eq for CmacKey {}
 
 impl CmacKey {
     /// Expands `key` into the cached schedule and CMAC subkeys.
-    pub fn new(key: &[u8; 16]) -> Self {
+    pub(crate) fn new(key: &[u8; 16]) -> Self {
         let aes = Aes128::new(key);
         let k1 = dbl(&aes.encrypt([0u8; 16]));
         let k2 = dbl(&k1);
         CmacKey { key: *key, aes, k1, k2 }
     }
 
-    /// The raw key bytes this schedule was expanded from.
-    pub fn key_bytes(&self) -> &[u8; 16] {
-        &self.key
-    }
-
     /// Computes AES-128-CMAC over `msg`.
-    pub fn mac(&self, msg: &[u8]) -> [u8; 16] {
+    pub(crate) fn mac(&self, msg: &[u8]) -> [u8; 16] {
         let n_blocks = msg.len().div_ceil(16).max(1);
         let complete_last = !msg.is_empty() && msg.len().is_multiple_of(16);
 
@@ -96,27 +91,11 @@ impl CmacKey {
         }
         self.aes.encrypt(x)
     }
-
-    /// Verifies a (possibly truncated) CMAC tag.
-    pub fn verify(&self, msg: &[u8], tag: &[u8]) -> bool {
-        if tag.is_empty() || tag.len() > 16 {
-            return false;
-        }
-        let full = self.mac(msg);
-        // Constant-time-ish comparison: fold differences, no early exit.
-        full[..tag.len()].iter().zip(tag).fold(0u8, |acc, (a, b)| acc | (a ^ b)) == 0
-    }
 }
 
 /// Computes AES-128-CMAC over `msg`, expanding `key` for this one call.
 pub fn cmac(key: &[u8; 16], msg: &[u8]) -> [u8; 16] {
     CmacKey::new(key).mac(msg)
-}
-
-/// Verifies a (possibly truncated) CMAC tag, expanding `key` for this one
-/// call.
-pub fn cmac_verify(key: &[u8; 16], msg: &[u8], tag: &[u8]) -> bool {
-    CmacKey::new(key).verify(msg, tag)
 }
 
 #[cfg(test)]
@@ -178,19 +157,6 @@ mod tests {
             0x3c, 0xfe,
         ];
         assert_eq!(cmac(&KEY, &msg), expected);
-    }
-
-    #[test]
-    fn verify_accepts_truncated_tags() {
-        let msg = b"z-wave s2 auth tag";
-        let tag = cmac(&KEY, msg);
-        assert!(cmac_verify(&KEY, msg, &tag));
-        assert!(cmac_verify(&KEY, msg, &tag[..8]));
-        let mut bad = tag;
-        bad[3] ^= 1;
-        assert!(!cmac_verify(&KEY, msg, &bad));
-        assert!(!cmac_verify(&KEY, msg, &[]));
-        assert!(!cmac_verify(&KEY, msg, &[0u8; 17]));
     }
 
     #[test]

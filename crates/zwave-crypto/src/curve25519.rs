@@ -114,21 +114,21 @@ fn invert(i: &Gf) -> Gf {
 }
 
 /// An X25519 public key (32 bytes, little-endian u-coordinate).
-pub type PublicKey = [u8; 32];
+pub(crate) type PublicKey = [u8; 32];
 /// An X25519 secret scalar (32 bytes).
-pub type SecretKey = [u8; 32];
+pub(crate) type SecretKey = [u8; 32];
 /// A shared Diffie-Hellman secret (32 bytes).
-pub type SharedSecret = [u8; 32];
+pub(crate) type SharedSecret = [u8; 32];
 
 /// The curve's base point u = 9.
-pub const BASEPOINT: PublicKey = {
+pub(crate) const BASEPOINT: PublicKey = {
     let mut b = [0u8; 32];
     b[0] = 9;
     b
 };
 
 /// Scalar multiplication: computes `scalar * point` on Curve25519.
-pub fn scalar_mult(scalar: &SecretKey, point: &PublicKey) -> SharedSecret {
+pub(crate) fn scalar_mult(scalar: &SecretKey, point: &PublicKey) -> SharedSecret {
     let mut z = *scalar;
     z[31] = (scalar[31] & 127) | 64;
     z[0] &= 248;
@@ -171,12 +171,12 @@ pub fn scalar_mult(scalar: &SecretKey, point: &PublicKey) -> SharedSecret {
 }
 
 /// Derives the public key for a secret scalar.
-pub fn public_key(secret: &SecretKey) -> PublicKey {
+pub(crate) fn public_key(secret: &SecretKey) -> PublicKey {
     scalar_mult(secret, &BASEPOINT)
 }
 
 /// Computes the shared secret between `our_secret` and `their_public`.
-pub fn diffie_hellman(our_secret: &SecretKey, their_public: &PublicKey) -> SharedSecret {
+pub(crate) fn diffie_hellman(our_secret: &SecretKey, their_public: &PublicKey) -> SharedSecret {
     scalar_mult(our_secret, their_public)
 }
 

@@ -33,18 +33,18 @@ use crate::s2::{kex_temp_keys, network_keys, S2Session};
 
 /// S2 command bytes used by the ceremony.
 mod cmd {
-    pub const NONCE_GET: u8 = 0x01;
-    pub const NONCE_REPORT: u8 = 0x02;
-    pub const MESSAGE_ENCAP: u8 = 0x03;
-    pub const KEX_GET: u8 = 0x04;
-    pub const KEX_REPORT: u8 = 0x05;
-    pub const KEX_SET: u8 = 0x06;
-    pub const KEX_FAIL: u8 = 0x07;
-    pub const PUBLIC_KEY_REPORT: u8 = 0x08;
-    pub const NETWORK_KEY_GET: u8 = 0x09;
-    pub const NETWORK_KEY_REPORT: u8 = 0x0A;
-    pub const NETWORK_KEY_VERIFY: u8 = 0x0B;
-    pub const TRANSFER_END: u8 = 0x0C;
+    pub(crate) const NONCE_GET: u8 = 0x01;
+    pub(crate) const NONCE_REPORT: u8 = 0x02;
+    pub(crate) const MESSAGE_ENCAP: u8 = 0x03;
+    pub(crate) const KEX_GET: u8 = 0x04;
+    pub(crate) const KEX_REPORT: u8 = 0x05;
+    pub(crate) const KEX_SET: u8 = 0x06;
+    pub(crate) const KEX_FAIL: u8 = 0x07;
+    pub(crate) const PUBLIC_KEY_REPORT: u8 = 0x08;
+    pub(crate) const NETWORK_KEY_GET: u8 = 0x09;
+    pub(crate) const NETWORK_KEY_REPORT: u8 = 0x0A;
+    pub(crate) const NETWORK_KEY_VERIFY: u8 = 0x0B;
+    pub(crate) const TRANSFER_END: u8 = 0x0C;
 }
 
 /// KEX failure codes (subset of the specification's KEX_FAIL types).
@@ -445,35 +445,33 @@ fn failure_code(failure: KexFailure) -> u8 {
     }
 }
 
-/// Drives a complete ceremony between two endpoints in memory, returning
-/// both permanent sessions. Test/bootstrap convenience; production use
-/// feeds [`IncludingController::on_payload`] / [`JoiningNode::on_payload`]
-/// from the radio.
-pub fn pair(
-    controller: &mut IncludingController,
-    node: &mut JoiningNode,
-) -> Option<(S2Session, S2Session)> {
-    let mut to_node = Some(controller.start());
-    for _ in 0..16 {
-        if let Some(msg) = to_node.take() {
-            if let Some(reply) = node.on_payload(&msg) {
-                if let Some(counter) = controller.on_payload(&reply) {
-                    to_node = Some(counter);
-                }
-            }
-        } else {
-            break;
-        }
-        if controller.is_established() && node.is_established() {
-            return Some((controller.take_session()?, node.take_session()?));
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Drives a complete ceremony between two endpoints in memory, returning
+    /// both permanent sessions.
+    fn pair(
+        controller: &mut IncludingController,
+        node: &mut JoiningNode,
+    ) -> Option<(S2Session, S2Session)> {
+        let mut to_node = Some(controller.start());
+        for _ in 0..16 {
+            if let Some(msg) = to_node.take() {
+                if let Some(reply) = node.on_payload(&msg) {
+                    if let Some(counter) = controller.on_payload(&reply) {
+                        to_node = Some(counter);
+                    }
+                }
+            } else {
+                break;
+            }
+            if controller.is_established() && node.is_established() {
+                return Some((controller.take_session()?, node.take_session()?));
+            }
+        }
+        None
+    }
 
     fn endpoints(dsk_ok: bool) -> (IncludingController, JoiningNode) {
         let node = JoiningNode::new([0x42u8; 32], 0xCB95A34A, 0x01, 0x02);

@@ -28,7 +28,7 @@ impl std::fmt::Debug for DerivedKeys {
 }
 
 /// CKDF-TempExtract: PRK = CMAC(ConstNonce, ECDH-shared || pk_a || pk_b).
-pub fn temp_extract(shared: &SharedSecret, pk_a: &PublicKey, pk_b: &PublicKey) -> [u8; 16] {
+pub(crate) fn temp_extract(shared: &SharedSecret, pk_a: &PublicKey, pk_b: &PublicKey) -> [u8; 16] {
     const CONST_NONCE: [u8; 16] = [0x26; 16];
     let mut msg = Vec::with_capacity(96);
     msg.extend_from_slice(shared);
@@ -57,12 +57,12 @@ fn expand(prk: &[u8; 16], constant: u8) -> DerivedKeys {
 
 /// CKDF-TempKeyExpand: working keys for the *temporary* span used during
 /// inclusion, before a permanent network key is granted.
-pub fn temp_key_expand(prk: &[u8; 16]) -> DerivedKeys {
+pub(crate) fn temp_key_expand(prk: &[u8; 16]) -> DerivedKeys {
     expand(prk, 0x88)
 }
 
 /// CKDF-NetworkKeyExpand: working keys for a granted permanent network key.
-pub fn network_key_expand(key: &NetworkKey) -> DerivedKeys {
+pub(crate) fn network_key_expand(key: &NetworkKey) -> DerivedKeys {
     expand(key.bytes(), 0x55)
 }
 

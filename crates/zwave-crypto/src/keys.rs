@@ -1,6 +1,5 @@
 //! Network key material and security classes.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The security class a key belongs to (S2 defines three; S0 has one).
@@ -60,45 +59,6 @@ impl fmt::Debug for NetworkKey {
     }
 }
 
-/// The set of keys a node has been granted, by security class.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct KeyRing {
-    keys: BTreeMap<SecurityClass, NetworkKey>,
-}
-
-impl KeyRing {
-    /// An empty key ring (an unsecured legacy node).
-    pub fn new() -> Self {
-        KeyRing::default()
-    }
-
-    /// Grants `key` for `class`, returning any replaced key.
-    pub fn grant(&mut self, class: SecurityClass, key: NetworkKey) -> Option<NetworkKey> {
-        self.keys.insert(class, key)
-    }
-
-    /// The key for `class`, if granted.
-    pub fn key(&self, class: SecurityClass) -> Option<&NetworkKey> {
-        self.keys.get(&class)
-    }
-
-    /// Whether any S2 class has been granted.
-    pub fn has_s2(&self) -> bool {
-        self.keys.keys().any(|c| *c != SecurityClass::S0)
-    }
-
-    /// The highest granted class, if any (S2 Access > Authenticated >
-    /// Unauthenticated > S0).
-    pub fn highest_class(&self) -> Option<SecurityClass> {
-        self.keys.keys().next_back().copied()
-    }
-
-    /// Iterates over granted `(class, key)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&SecurityClass, &NetworkKey)> {
-        self.keys.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,28 +74,6 @@ mod tests {
         assert_eq!(NetworkKey::from_seed(7), NetworkKey::from_seed(7));
         assert_ne!(NetworkKey::from_seed(7), NetworkKey::from_seed(8));
         assert_ne!(NetworkKey::from_seed(0), NetworkKey::from_seed(1));
-    }
-
-    #[test]
-    fn keyring_grant_and_lookup() {
-        let mut ring = KeyRing::new();
-        assert!(!ring.has_s2());
-        assert_eq!(ring.highest_class(), None);
-        ring.grant(SecurityClass::S0, NetworkKey::from_seed(1));
-        ring.grant(SecurityClass::S2Access, NetworkKey::from_seed(2));
-        assert!(ring.has_s2());
-        assert_eq!(ring.highest_class(), Some(SecurityClass::S2Access));
-        assert!(ring.key(SecurityClass::S0).is_some());
-        assert!(ring.key(SecurityClass::S2Authenticated).is_none());
-        assert_eq!(ring.iter().count(), 2);
-    }
-
-    #[test]
-    fn grant_returns_replaced_key() {
-        let mut ring = KeyRing::new();
-        assert!(ring.grant(SecurityClass::S0, NetworkKey::from_seed(1)).is_none());
-        let old = ring.grant(SecurityClass::S0, NetworkKey::from_seed(2));
-        assert_eq!(old, Some(NetworkKey::from_seed(1)));
     }
 
     #[test]

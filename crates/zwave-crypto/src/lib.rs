@@ -43,4 +43,4 @@ pub mod keys;
 pub mod s0;
 pub mod s2;
 
-pub use keys::{KeyRing, NetworkKey, SecurityClass};
+pub use keys::{NetworkKey, SecurityClass};

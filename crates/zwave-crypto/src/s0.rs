@@ -9,7 +9,7 @@ use crate::keys::NetworkKey;
 /// The fixed temporary key S0 uses while the real network key is exchanged.
 /// Being a protocol constant, any eavesdropper of an inclusion can decrypt
 /// the key exchange — the S0 weakness the paper references.
-pub const S0_FIXED_TEMP_KEY: [u8; 16] = [0u8; 16];
+pub(crate) const S0_FIXED_TEMP_KEY: [u8; 16] = [0u8; 16];
 
 /// S0 command ids within command class 0x98.
 pub mod cmd {

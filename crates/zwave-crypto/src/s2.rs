@@ -12,22 +12,14 @@
 use crate::aes::Aes128;
 use crate::ccm::{self, CcmError};
 use crate::cmac::{cmac, CmacKey};
-use crate::curve25519::{diffie_hellman, public_key, PublicKey, SecretKey};
+use crate::curve25519::{diffie_hellman, PublicKey, SecretKey};
 use crate::kdf::{network_key_expand, temp_extract, temp_key_expand, DerivedKeys};
 use crate::keys::NetworkKey;
 
 /// S2 command ids within command class 0x9F.
 pub mod cmd {
-    /// SPAN nonce request.
-    pub const NONCE_GET: u8 = 0x01;
-    /// SPAN nonce report (receiver entropy input).
-    pub const NONCE_REPORT: u8 = 0x02;
     /// Encrypted message encapsulation.
-    pub const MESSAGE_ENCAP: u8 = 0x03;
-    /// Key-exchange echo of supported schemes.
-    pub const KEX_GET: u8 = 0x04;
-    /// Public key transfer.
-    pub const PUBLIC_KEY_REPORT: u8 = 0x08;
+    pub(crate) const MESSAGE_ENCAP: u8 = 0x03;
 }
 
 /// S2 tag length: 8 bytes (Z-Wave profile of CCM).
@@ -76,7 +68,7 @@ impl From<CcmError> for S2Error {
 /// cached, so each ratchet step ([`Span::next_nonce`]) is one CMAC over a
 /// single block with no key expansion.
 #[derive(Clone, PartialEq, Eq)]
-pub struct Span {
+pub(crate) struct Span {
     prf: CmacKey,
     state: [u8; 16],
 }
@@ -90,7 +82,11 @@ impl std::fmt::Debug for Span {
 impl Span {
     /// Instantiates the generator from the derived keys and the two
     /// entropy inputs exchanged via NONCE_GET / NONCE_REPORT.
-    pub fn instantiate(keys: &DerivedKeys, sender_ei: &[u8; 16], receiver_ei: &[u8; 16]) -> Self {
+    pub(crate) fn instantiate(
+        keys: &DerivedKeys,
+        sender_ei: &[u8; 16],
+        receiver_ei: &[u8; 16],
+    ) -> Self {
         let mut seed_msg = Vec::with_capacity(64);
         seed_msg.extend_from_slice(sender_ei);
         seed_msg.extend_from_slice(receiver_ei);
@@ -102,7 +98,7 @@ impl Span {
     }
 
     /// Generates the next 13-byte CCM nonce, ratcheting the state.
-    pub fn next_nonce(&mut self) -> [u8; NONCE_LEN] {
+    pub(crate) fn next_nonce(&mut self) -> [u8; NONCE_LEN] {
         self.state = self.prf.mac(&self.state);
         let mut nonce = [0u8; NONCE_LEN];
         nonce.copy_from_slice(&self.state[..NONCE_LEN]);
@@ -209,7 +205,7 @@ impl S2Session {
 
 /// Performs the ECDH leg of an S2 inclusion: both sides derive the same
 /// temporary keys from their keypairs.
-pub fn kex_temp_keys(
+pub(crate) fn kex_temp_keys(
     our_secret: &SecretKey,
     our_public: &PublicKey,
     their_public: &PublicKey,
@@ -228,14 +224,14 @@ pub fn network_keys(key: &NetworkKey) -> DerivedKeys {
     network_key_expand(key)
 }
 
-/// Convenience: generates an X25519 keypair from 32 seed bytes.
-pub fn keypair_from_seed(seed: [u8; 32]) -> (SecretKey, PublicKey) {
-    (seed, public_key(&seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curve25519::public_key;
+
+    fn keypair(seed: u8) -> (SecretKey, PublicKey) {
+        ([seed; 32], public_key(&[seed; 32]))
+    }
 
     fn session_pair() -> (S2Session, S2Session) {
         let keys = network_keys(&NetworkKey::from_seed(5));
@@ -319,8 +315,8 @@ mod tests {
 
     #[test]
     fn kex_both_sides_agree() {
-        let (sk_a, pk_a) = keypair_from_seed([3u8; 32]);
-        let (sk_b, pk_b) = keypair_from_seed([4u8; 32]);
+        let (sk_a, pk_a) = keypair(3);
+        let (sk_b, pk_b) = keypair(4);
         let keys_a = kex_temp_keys(&sk_a, &pk_a, &pk_b, true);
         let keys_b = kex_temp_keys(&sk_b, &pk_b, &pk_a, false);
         assert_eq!(keys_a.ccm_key, keys_b.ccm_key);
@@ -329,9 +325,9 @@ mod tests {
 
     #[test]
     fn kex_differs_per_peer() {
-        let (sk_a, pk_a) = keypair_from_seed([3u8; 32]);
-        let (_, pk_b) = keypair_from_seed([4u8; 32]);
-        let (_, pk_c) = keypair_from_seed([5u8; 32]);
+        let (sk_a, pk_a) = keypair(3);
+        let (_, pk_b) = keypair(4);
+        let (_, pk_c) = keypair(5);
         let ab = kex_temp_keys(&sk_a, &pk_a, &pk_b, true);
         let ac = kex_temp_keys(&sk_a, &pk_a, &pk_c, true);
         assert_ne!(ab.ccm_key, ac.ccm_key);

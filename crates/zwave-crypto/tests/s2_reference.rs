@@ -5,6 +5,7 @@
 //! and walks the window incrementally; on the wire the two must be
 //! indistinguishable.
 
+use zwave_crypto::aes::Aes128;
 use zwave_crypto::kdf::DerivedKeys;
 use zwave_crypto::s2::{S2Session, NONCE_LEN, RESYNC_WINDOW, TAG_LEN};
 use zwave_crypto::{ccm, cmac::cmac, s2, NetworkKey};
@@ -47,8 +48,8 @@ impl RefSpan {
     }
 }
 
-/// Reference session: byte-key `ccm::seal`/`ccm::open` around the
-/// peek/advance SPAN.
+/// Reference session: `ccm::seal_with`/`ccm::open_with` under a key
+/// expanded per call, around the peek/advance SPAN.
 struct RefSession {
     keys: DerivedKeys,
     span_tx: RefSpan,
@@ -79,8 +80,9 @@ impl RefSession {
         self.seq = self.seq.wrapping_add(1);
         let nonce = self.span_tx.next_nonce();
         let aad = Self::aad(home_id, src, dst, seq, plaintext.len());
-        let sealed = ccm::seal(&self.keys.ccm_key, &nonce, &aad, plaintext, TAG_LEN)
-            .expect("valid ccm parameters");
+        let sealed =
+            ccm::seal_with(&Aes128::new(&self.keys.ccm_key), &nonce, &aad, plaintext, TAG_LEN)
+                .expect("valid ccm parameters");
         [&[0x9F, 0x03, seq, 0x00][..], &sealed].concat()
     }
 
@@ -91,7 +93,13 @@ impl RefSession {
         let sealed = &payload[4..];
         let aad = Self::aad(home_id, src, dst, payload[2], sealed.len() - TAG_LEN);
         (0..RESYNC_WINDOW).find_map(|k| {
-            let pt = ccm::open(&self.keys.ccm_key, &self.span_rx.peek(k), &aad, sealed, TAG_LEN);
+            let pt = ccm::open_with(
+                &Aes128::new(&self.keys.ccm_key),
+                &self.span_rx.peek(k),
+                &aad,
+                sealed,
+                TAG_LEN,
+            );
             pt.ok().inspect(|_| self.span_rx.advance(k + 1))
         })
     }

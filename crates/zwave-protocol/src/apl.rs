@@ -23,26 +23,6 @@ pub enum FieldPosition {
     Param(usize),
 }
 
-impl FieldPosition {
-    /// Byte index of this field within the encoded payload.
-    pub fn byte_index(self) -> usize {
-        match self {
-            FieldPosition::CommandClass => 0,
-            FieldPosition::Command => 1,
-            FieldPosition::Param(n) => 2 + n,
-        }
-    }
-
-    /// Field position for a given payload byte index.
-    pub fn from_byte_index(index: usize) -> Self {
-        match index {
-            0 => FieldPosition::CommandClass,
-            1 => FieldPosition::Command,
-            n => FieldPosition::Param(n - 2),
-        }
-    }
-}
-
 impl fmt::Display for FieldPosition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -123,16 +103,6 @@ impl ApplicationPayload {
         &mut self.params
     }
 
-    /// Overwrites the command class (position-0 mutation).
-    pub fn set_command_class(&mut self, cc: CommandClassId) {
-        self.command_class = cc;
-    }
-
-    /// Overwrites the command (position-1 mutation).
-    pub fn set_command(&mut self, cmd: u8) {
-        self.command = Some(cmd);
-    }
-
     /// Reads the byte at a mutation position, if present.
     pub fn field(&self, pos: FieldPosition) -> Option<u8> {
         match pos {
@@ -170,13 +140,8 @@ impl ApplicationPayload {
     }
 
     /// Number of encoded bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         1 + self.command.map_or(0, |_| 1) + self.params.len()
-    }
-
-    /// Whether the payload is a bare command class with no command byte.
-    pub fn is_empty(&self) -> bool {
-        self.command.is_none() && self.params.is_empty()
     }
 
     /// Serializes back to wire bytes.
@@ -227,7 +192,6 @@ mod tests {
         let pld = ApplicationPayload::parse(&[0x00]).unwrap();
         assert_eq!(pld.command_class(), CommandClassId::NO_OPERATION);
         assert_eq!(pld.command(), None);
-        assert!(pld.is_empty());
         assert_eq!(pld.encode(), vec![0x00]);
         assert_eq!(pld.len(), 1);
     }
@@ -238,17 +202,6 @@ mod tests {
         let pld = ApplicationPayload::new(CommandClassId::ZWAVE_PROTOCOL, 0x00, vec![0x00]);
         assert_eq!(pld.encode(), vec![0x01, 0x00, 0x00]);
         assert_eq!(pld.to_string(), "[0x01 0x00 0x00]");
-    }
-
-    #[test]
-    fn field_positions_map_to_byte_indices() {
-        assert_eq!(FieldPosition::CommandClass.byte_index(), 0);
-        assert_eq!(FieldPosition::Command.byte_index(), 1);
-        assert_eq!(FieldPosition::Param(0).byte_index(), 2);
-        assert_eq!(FieldPosition::Param(3).byte_index(), 5);
-        for i in 0..8 {
-            assert_eq!(FieldPosition::from_byte_index(i).byte_index(), i);
-        }
     }
 
     #[test]

@@ -22,11 +22,6 @@ pub fn cs8(data: &[u8]) -> u8 {
     data.iter().fold(0xFF, |acc, &b| acc ^ b)
 }
 
-/// Verifies a CS-8 trailer: returns `true` when `cs` matches `data`.
-pub fn cs8_verify(data: &[u8], cs: u8) -> bool {
-    cs8(data) == cs
-}
-
 /// CRC-16/CCITT (polynomial `0x1021`) with the G.9959 initial value `0x1D0F`.
 ///
 /// Used by 100 kbps (R3) Z-Wave frames in place of CS-8.
@@ -49,11 +44,6 @@ pub fn crc16_ccitt(data: &[u8]) -> u16 {
         }
     }
     crc
-}
-
-/// Verifies a CRC-16 trailer: returns `true` when `crc` matches `data`.
-pub fn crc16_verify(data: &[u8], crc: u16) -> bool {
-    crc16_ccitt(data) == crc
 }
 
 #[cfg(test)]
@@ -82,7 +72,7 @@ mod tests {
         let cs = cs8(&data);
         let mut corrupted = data;
         corrupted[2] ^= 0x10;
-        assert!(!cs8_verify(&corrupted, cs));
+        assert_ne!(cs8(&corrupted), cs);
     }
 
     #[test]
@@ -109,14 +99,5 @@ mod tests {
         let b = [3u8, 2, 1];
         assert_eq!(cs8(&a), cs8(&b));
         assert_ne!(crc16_ccitt(&a), crc16_ccitt(&b));
-    }
-
-    #[test]
-    fn verify_helpers() {
-        let data = [0x20, 0x01, 0xFF];
-        assert!(cs8_verify(&data, cs8(&data)));
-        assert!(crc16_verify(&data, crc16_ccitt(&data)));
-        assert!(!cs8_verify(&data, cs8(&data) ^ 1));
-        assert!(!crc16_verify(&data, crc16_ccitt(&data) ^ 1));
     }
 }

@@ -27,48 +27,20 @@ impl CommandClassId {
     pub const ZENSOR_NET: CommandClassId = CommandClassId(0x02);
     /// Basic (Set/Get/Report), the Section III-D running example.
     pub const BASIC: CommandClassId = CommandClassId(0x20);
-    /// Application Status.
-    pub const APPLICATION_STATUS: CommandClassId = CommandClassId(0x22);
     /// Binary Switch.
     pub const SWITCH_BINARY: CommandClassId = CommandClassId(0x25);
-    /// Multilevel Switch.
-    pub const SWITCH_MULTILEVEL: CommandClassId = CommandClassId(0x26);
-    /// Network Management Inclusion.
-    pub const NETWORK_MANAGEMENT_INCLUSION: CommandClassId = CommandClassId(0x34);
-    /// Transport Service.
-    pub const TRANSPORT_SERVICE: CommandClassId = CommandClassId(0x55);
     /// CRC-16 Encapsulation.
     pub const CRC16_ENCAP: CommandClassId = CommandClassId(0x56);
-    /// Association Group Information (bugs #08 and #11).
-    pub const ASSOCIATION_GRP_INFO: CommandClassId = CommandClassId(0x59);
-    /// Device Reset Locally (bug #07).
-    pub const DEVICE_RESET_LOCALLY: CommandClassId = CommandClassId(0x5A);
-    /// Z-Wave Plus Info.
-    pub const ZWAVEPLUS_INFO: CommandClassId = CommandClassId(0x5E);
     /// Door Lock (the Schlage BE469ZP slave, D8).
     pub const DOOR_LOCK: CommandClassId = CommandClassId(0x62);
     /// Supervision.
     pub const SUPERVISION: CommandClassId = CommandClassId(0x6C);
-    /// Configuration.
-    pub const CONFIGURATION: CommandClassId = CommandClassId(0x70);
-    /// Notification / Alarm.
-    pub const NOTIFICATION: CommandClassId = CommandClassId(0x71);
-    /// Manufacturer Specific.
-    pub const MANUFACTURER_SPECIFIC: CommandClassId = CommandClassId(0x72);
-    /// Powerlevel (bug #13).
-    pub const POWERLEVEL: CommandClassId = CommandClassId(0x73);
-    /// Firmware Update Meta Data (bugs #09 and #15).
-    pub const FIRMWARE_UPDATE_MD: CommandClassId = CommandClassId(0x7A);
     /// Battery.
     pub const BATTERY: CommandClassId = CommandClassId(0x80);
     /// Wake Up (bug #12 removes wake-up intervals).
     pub const WAKE_UP: CommandClassId = CommandClassId(0x84);
-    /// Association.
-    pub const ASSOCIATION: CommandClassId = CommandClassId(0x85);
     /// Version (bug #10).
     pub const VERSION: CommandClassId = CommandClassId(0x86);
-    /// Multi Channel Association.
-    pub const MULTI_CHANNEL_ASSOCIATION: CommandClassId = CommandClassId(0x8E);
     /// Security 0 (AES-128 with the fixed-temp-key weakness).
     pub const SECURITY_0: CommandClassId = CommandClassId(0x98);
     /// Security 2 (ECDH + AES-CCM; bug #06 crashes the PC controller here).
@@ -172,10 +144,6 @@ mod tests {
         // The CMDCL column of Table III.
         assert_eq!(CommandClassId::ZWAVE_PROTOCOL.raw(), 0x01);
         assert_eq!(CommandClassId::SECURITY_2.raw(), 0x9F);
-        assert_eq!(CommandClassId::DEVICE_RESET_LOCALLY.raw(), 0x5A);
-        assert_eq!(CommandClassId::ASSOCIATION_GRP_INFO.raw(), 0x59);
-        assert_eq!(CommandClassId::FIRMWARE_UPDATE_MD.raw(), 0x7A);
         assert_eq!(CommandClassId::VERSION.raw(), 0x86);
-        assert_eq!(CommandClassId::POWERLEVEL.raw(), 0x73);
     }
 }

@@ -70,7 +70,7 @@ impl Dissection {
     }
 
     /// Dissects an already-decoded frame.
-    pub fn from_frame(frame: &MacFrame, raw: impl Into<FrameBuf>) -> Self {
+    pub(crate) fn from_frame(frame: &MacFrame, raw: impl Into<FrameBuf>) -> Self {
         Dissection {
             home_id: frame.home_id(),
             src: frame.src(),

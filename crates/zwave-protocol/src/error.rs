@@ -1,4 +1,4 @@
-//! Error types for frame encoding/decoding and registry lookups.
+//! Error types for frame and payload encoding and decoding.
 
 use std::error::Error;
 use std::fmt;
@@ -37,8 +37,6 @@ pub enum ProtocolError {
     EmptyPayload,
     /// An unknown or reserved header type value in the frame-control field.
     InvalidHeaderType(u8),
-    /// A command class id that the registry does not define.
-    UnknownCommandClass(u8),
     /// A command id not defined for the given command class.
     UnknownCommand {
         /// The command class in which the lookup was performed.
@@ -66,9 +64,6 @@ impl fmt::Display for ProtocolError {
             ProtocolError::EmptyPayload => f.write_str("application payload is empty"),
             ProtocolError::InvalidHeaderType(raw) => {
                 write!(f, "invalid frame-control header type {raw:#04X}")
-            }
-            ProtocolError::UnknownCommandClass(id) => {
-                write!(f, "unknown command class {id:#04X}")
             }
             ProtocolError::UnknownCommand { command_class, command } => {
                 write!(f, "unknown command {command:#04X} in command class {command_class:#04X}")

@@ -26,7 +26,7 @@ pub enum HeaderType {
 
 impl HeaderType {
     /// Wire value of the header-type nibble.
-    pub fn to_nibble(self) -> u8 {
+    pub(crate) fn to_nibble(self) -> u8 {
         match self {
             HeaderType::Singlecast => 0x1,
             HeaderType::Multicast => 0x2,
@@ -40,7 +40,7 @@ impl HeaderType {
     /// # Errors
     ///
     /// Returns [`ProtocolError::InvalidHeaderType`] for reserved values.
-    pub fn from_nibble(raw: u8) -> Result<Self, ProtocolError> {
+    pub(crate) fn from_nibble(raw: u8) -> Result<Self, ProtocolError> {
         match raw & 0x0F {
             0x1 => Ok(HeaderType::Singlecast),
             0x2 => Ok(HeaderType::Multicast),
@@ -206,8 +206,8 @@ impl fmt::Debug for MacFrame {
 }
 
 /// One encoded frame on the stack: the single byte writer behind
-/// [`MacFrame::encode`], [`MacFrame::encode_into`],
-/// [`MacFrame::encode_with_checksum`] and [`MacFrame::to_buf`].
+/// [`MacFrame::encode`], [`MacFrame::encode_with_checksum`] and
+/// [`MacFrame::to_buf`].
 struct Wire {
     bytes: [u8; MAX_MAC_FRAME_LEN],
     len: usize,
@@ -318,7 +318,7 @@ impl MacFrame {
     ///
     /// Returns [`ProtocolError::FrameTooLong`] when the new payload would
     /// exceed the MAC limit; the frame is left unchanged in that case.
-    pub fn set_payload(&mut self, payload: impl AsRef<[u8]>) -> Result<(), ProtocolError> {
+    pub(crate) fn set_payload(&mut self, payload: impl AsRef<[u8]>) -> Result<(), ProtocolError> {
         let payload = payload.as_ref();
         let total = MAC_HEADER_LEN + payload.len() + self.checksum_kind.len();
         if total > MAX_MAC_FRAME_LEN {
@@ -342,21 +342,13 @@ impl MacFrame {
     }
 
     /// Total encoded size in bytes, including the checksum trailer.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         MAC_HEADER_LEN + usize::from(self.payload_len) + self.checksum_kind.len()
     }
 
     /// Serializes the frame, computing a *correct* checksum.
     pub fn encode(&self) -> Vec<u8> {
         self.wire(None).as_slice().to_vec()
-    }
-
-    /// Serializes the frame (correct checksum) into `out`, clearing it
-    /// first. Lets hot paths reuse one allocation across frames instead of
-    /// building a fresh vector per [`MacFrame::encode`] call.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.extend_from_slice(self.wire(None).as_slice());
     }
 
     /// Serializes the frame (correct checksum) straight into a shared

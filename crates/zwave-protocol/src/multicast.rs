@@ -8,7 +8,7 @@ use crate::error::ProtocolError;
 use crate::types::NodeId;
 
 /// Maximum mask width in bytes (232 node bits).
-pub const MAX_MASK_BYTES: usize = 29;
+pub(crate) const MAX_MASK_BYTES: usize = 29;
 
 /// The multicast address header preceding the APL payload.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -74,7 +74,7 @@ impl MulticastHeader {
     ///
     /// Returns [`ProtocolError::TruncatedFrame`] when the buffer is
     /// shorter than the declared mask, and [`ProtocolError::FrameTooLong`]
-    /// when the declared mask exceeds [`MAX_MASK_BYTES`].
+    /// when the declared mask exceeds `MAX_MASK_BYTES`.
     pub fn decode(bytes: &[u8]) -> Result<(Self, &[u8]), ProtocolError> {
         let &len = bytes.first().ok_or(ProtocolError::TruncatedFrame { got: 0, need: 1 })?;
         let len = len as usize;

@@ -31,7 +31,7 @@ pub enum BasicDeviceType {
 
 impl BasicDeviceType {
     /// Wire byte of this device type.
-    pub fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         match self {
             BasicDeviceType::Controller => 0x01,
             BasicDeviceType::StaticController => 0x02,
@@ -129,11 +129,6 @@ pub fn encode_nif_request() -> Vec<u8> {
     vec![0x01, ZWAVE_PROTOCOL_CMD_REQUEST_NODE_INFO]
 }
 
-/// Whether a payload is a well-formed NIF request.
-pub fn is_nif_request(payload: &[u8]) -> bool {
-    payload == [0x01, ZWAVE_PROTOCOL_CMD_REQUEST_NODE_INFO]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,8 +153,6 @@ mod tests {
     fn nif_request_is_two_bytes() {
         let req = encode_nif_request();
         assert_eq!(req, vec![0x01, 0x02]);
-        assert!(is_nif_request(&req));
-        assert!(!is_nif_request(&[0x01, 0x02, 0x00]));
     }
 
     #[test]

@@ -26,7 +26,6 @@ use std::sync::OnceLock;
 use serde::Serialize;
 
 use crate::command_class::{CommandClassId, CommandKind, CommandRole};
-use crate::error::ProtocolError;
 
 /// Functional grouping of a command class (Section III-C1: "clusters
 /// CMDCLs based on function" so that "fuzzing efforts can focus on specific
@@ -58,7 +57,7 @@ impl FunctionalCluster {
     /// Whether a Z-Wave *controller* is expected to support classes of this
     /// cluster (Section III-C1: "application functionality, transport
     /// encapsulation, management, and networking").
-    pub fn is_controller_relevant(self) -> bool {
+    pub(crate) fn is_controller_relevant(self) -> bool {
         matches!(
             self,
             FunctionalCluster::ApplicationFunctionality
@@ -209,7 +208,7 @@ impl CommandClassSpec {
     }
 
     /// Whether this class belongs to a controller-relevant cluster.
-    pub fn is_controller_relevant(&self) -> bool {
+    pub(crate) fn is_controller_relevant(&self) -> bool {
         self.cluster.is_controller_relevant()
     }
 }
@@ -247,23 +246,13 @@ impl Registry {
         self.index[id.0 as usize].map(|i| &self.classes[i as usize])
     }
 
-    /// Like [`Registry::get`] but returns a [`ProtocolError`] for unknown ids.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::UnknownCommandClass`] when the class is not
-    /// in this registry.
-    pub fn require(&self, id: CommandClassId) -> Result<&CommandClassSpec, ProtocolError> {
-        self.get(id).ok_or(ProtocolError::UnknownCommandClass(id.0))
-    }
-
     /// Whether the registry defines this class.
     pub fn contains(&self, id: CommandClassId) -> bool {
         self.index[id.0 as usize].is_some()
     }
 
     /// All classes in ascending CMDCL order.
-    pub fn iter(&self) -> impl Iterator<Item = &CommandClassSpec> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &CommandClassSpec> {
         self.classes.iter()
     }
 
@@ -290,18 +279,6 @@ impl Registry {
         v.sort_by(|a, b| b.command_count().cmp(&a.command_count()).then(a.id.cmp(&b.id)));
         v
     }
-
-    /// Looks up a command within a class.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::UnknownCommandClass`] or
-    /// [`ProtocolError::UnknownCommand`].
-    pub fn command(&self, id: CommandClassId, cmd: u8) -> Result<&CommandSpec, ProtocolError> {
-        self.require(id)?
-            .command(cmd)
-            .ok_or(ProtocolError::UnknownCommand { command_class: id.0, command: cmd })
-    }
 }
 
 #[cfg(test)]
@@ -320,10 +297,6 @@ mod tests {
         let reg = Registry::global();
         assert!(!reg.contains(CommandClassId::ZWAVE_PROTOCOL));
         assert!(!reg.contains(CommandClassId::ZENSOR_NET));
-        assert!(matches!(
-            reg.require(CommandClassId::ZWAVE_PROTOCOL),
-            Err(ProtocolError::UnknownCommandClass(0x01))
-        ));
     }
 
     #[test]
@@ -357,7 +330,7 @@ mod tests {
         assert_eq!(basic.command_count(), 3);
         let set = basic.command(0x01).unwrap();
         assert_eq!(set.kind, CommandKind::Set);
-        assert!(reg.command(CommandClassId::BASIC, 0x99).is_err());
+        assert!(basic.command(0x99).is_none());
     }
 
     #[test]
@@ -375,7 +348,7 @@ mod tests {
             (0x7A, 0x03),
         ] {
             assert!(
-                reg.command(CommandClassId(cc), cmd).is_ok(),
+                reg.get(CommandClassId(cc)).and_then(|c| c.command(cmd)).is_some(),
                 "missing command {cc:#04X}/{cmd:#04X}"
             );
         }
@@ -388,7 +361,7 @@ mod tests {
             assert!(pair[0].command_count() >= pair[1].command_count());
         }
         // Network Management Inclusion tops the list (Figure 5's 23 bar).
-        assert_eq!(order[0].id, CommandClassId::NETWORK_MANAGEMENT_INCLUSION);
+        assert_eq!(order[0].id, CommandClassId(0x34));
         assert_eq!(order[0].command_count(), 23);
     }
 

@@ -24,17 +24,17 @@ const ANY: ParamSpec = ParamSpec::BitMask;
 const NODE: ParamSpec = ParamSpec::NodeId;
 
 /// Z-Wave protocol command: broadcast node information frame (NIF).
-pub const CMD_NODE_INFO: u8 = 0x01;
+pub(crate) const CMD_NODE_INFO: u8 = 0x01;
 /// Z-Wave protocol command: request a node's NIF (ZCover's active scan).
-pub const CMD_REQUEST_NODE_INFO: u8 = 0x02;
+pub(crate) const CMD_REQUEST_NODE_INFO: u8 = 0x02;
 /// Z-Wave protocol command: assign home/node ids during inclusion.
-pub const CMD_ASSIGN_IDS: u8 = 0x03;
+pub(crate) const CMD_ASSIGN_IDS: u8 = 0x03;
 /// Z-Wave protocol command: neighbour discovery sweep (bug #14 keeps the
 /// controller "busy searching for non-existent Z-Wave devices" here).
-pub const CMD_FIND_NODES_IN_RANGE: u8 = 0x04;
+pub(crate) const CMD_FIND_NODES_IN_RANGE: u8 = 0x04;
 /// Z-Wave protocol command: node registration in controller NVM (bugs
 /// #01-#04 and #12 tamper with the node database through this command).
-pub const CMD_NEW_NODE_REGISTERED: u8 = 0x0D;
+pub(crate) const CMD_NEW_NODE_REGISTERED: u8 = 0x0D;
 
 /// The Z-Wave protocol class (`0x01`), as implemented by vendor firmware.
 pub static ZWAVE_PROTOCOL: CommandClassSpec = CommandClassSpec {

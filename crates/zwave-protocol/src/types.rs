@@ -10,10 +10,7 @@ pub const MAX_MAC_FRAME_LEN: usize = 64;
 
 /// Number of bytes of MAC header before the payload begins:
 /// `H-ID (4) + SRC (1) + P1 (1) + P2 (1) + LEN (1) + DST (1)`.
-pub const MAC_HEADER_LEN: usize = 9;
-
-/// The broadcast destination node id.
-pub const BROADCAST_NODE_ID: NodeId = NodeId(0xFF);
+pub(crate) const MAC_HEADER_LEN: usize = 9;
 
 /// 32-bit Z-Wave network home identifier (bytes 0..4 of every frame).
 ///
@@ -39,7 +36,7 @@ impl HomeId {
     }
 
     /// Reassembles a home id from its big-endian wire representation.
-    pub fn from_bytes(bytes: [u8; 4]) -> Self {
+    pub(crate) fn from_bytes(bytes: [u8; 4]) -> Self {
         HomeId(u32::from_be_bytes(bytes))
     }
 }
@@ -161,7 +158,7 @@ mod tests {
 
     #[test]
     fn broadcast_detection() {
-        assert!(BROADCAST_NODE_ID.is_broadcast());
+        assert!(NodeId(0xFF).is_broadcast());
         assert!(!NodeId::CONTROLLER.is_broadcast());
     }
 

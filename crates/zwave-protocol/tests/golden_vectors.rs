@@ -4,7 +4,7 @@
 //! order, flag bit, LEN semantics, checksum seed) fails loudly instead of
 //! round-tripping through the same bug twice.
 
-use zwave_protocol::checksum::{crc16_ccitt, crc16_verify, cs8, cs8_verify};
+use zwave_protocol::checksum::{crc16_ccitt, cs8};
 use zwave_protocol::dissect::{to_hex, Dissection};
 use zwave_protocol::frame::{FrameControl, HeaderType, MacFrame};
 use zwave_protocol::multicast::MulticastHeader;
@@ -220,7 +220,6 @@ fn cs8_golden_vectors() {
     assert_eq!(cs8(&[0x01, 0x02, 0x03]), 0xFF ^ 0x01 ^ 0x02 ^ 0x03);
     assert_eq!(cs8(&SINGLECAST_WIRE[..12]), 0xD4);
     assert_eq!(cs8(&ACK_WIRE[..9]), 0x4A);
-    assert!(cs8_verify(&SINGLECAST_WIRE[..12], 0xD4));
 }
 
 #[test]
@@ -231,5 +230,4 @@ fn crc16_golden_vectors() {
     assert_eq!(crc16_ccitt(b"123456789"), 0xE5CC);
     assert_eq!(crc16_ccitt(&[0x20, 0x01, 0xFF]), 0xBA0B);
     assert_eq!(crc16_ccitt(&CRC16_WIRE[..11]), 0x5FA4);
-    assert!(crc16_verify(&CRC16_WIRE[..11], 0x5FA4));
 }

@@ -61,20 +61,14 @@ proptest! {
         prop_assert_eq!(back, frame);
     }
 
-    /// `to_buf` is `encode` in a shared buffer, and `encode_into` writes
-    /// the same bytes into a reused vector, for every well-formed frame
-    /// and both checksum kinds.
+    /// `to_buf` is `encode` in a shared buffer, and `encode_with_checksum`
+    /// given the correct trailer writes the same bytes, for every
+    /// well-formed frame and both checksum kinds.
     #[test]
-    fn to_buf_and_encode_into_match_encode(
-        frame in arb_frame(),
-        stale in proptest::collection::vec(any::<u8>(), 0..80),
-    ) {
+    fn to_buf_and_encode_with_checksum_match_encode(frame in arb_frame()) {
         let wire = frame.encode();
         let buf = frame.to_buf();
         prop_assert_eq!(buf.as_slice(), wire.as_slice());
-        let mut scratch = stale;
-        frame.encode_into(&mut scratch);
-        prop_assert_eq!(&scratch, &wire);
         let trailer = match frame.checksum_kind() {
             ChecksumKind::Cs8 => u16::from(wire[wire.len() - 1]),
             ChecksumKind::Crc16 => u16::from_be_bytes([wire[wire.len() - 2], wire[wire.len() - 1]]),
@@ -135,12 +129,6 @@ proptest! {
         prop_assert_eq!(pld.encode(), bytes);
     }
 
-    /// Field positions and byte indices stay in bijection.
-    #[test]
-    fn field_position_bijection(index in 0usize..60) {
-        prop_assert_eq!(FieldPosition::from_byte_index(index).byte_index(), index);
-    }
-
     /// set_field followed by field reads back the written value.
     #[test]
     fn set_then_get_field(
@@ -149,7 +137,11 @@ proptest! {
         value in any::<u8>(),
     ) {
         let mut pld = ApplicationPayload::parse(&bytes).unwrap();
-        let pos = FieldPosition::from_byte_index(pos_idx % bytes.len());
+        let pos = match pos_idx % bytes.len() {
+            0 => FieldPosition::CommandClass,
+            1 => FieldPosition::Command,
+            n => FieldPosition::Param(n - 2),
+        };
         prop_assert!(pld.set_field(pos, value));
         prop_assert_eq!(pld.field(pos), Some(value));
     }

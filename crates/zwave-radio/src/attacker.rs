@@ -61,7 +61,7 @@ impl AttackerSchedule {
     }
 
     /// Whether `index` is within the scripted frame count.
-    pub fn in_script(&self, index: u64) -> bool {
+    pub(crate) fn in_script(&self, index: u64) -> bool {
         self.count.is_none_or(|n| index < n)
     }
 }
@@ -93,11 +93,6 @@ impl AttackerStation {
         } else {
             station
         }
-    }
-
-    /// The schedule this station follows.
-    pub fn schedule(&self) -> &AttackerSchedule {
-        &self.schedule
     }
 
     /// Frames transmitted so far.
@@ -218,7 +213,7 @@ mod tests {
         let mut attacker = AttackerStation::attach(&medium, 30.0, schedule(9));
         let cap = clock.now().plus(Duration::from_secs(300));
         assert!(medium.advance_to_next_wakeup(cap), "first fire time is a scheduled event");
-        assert_eq!(clock.now(), attacker.schedule().fire_at(0));
+        assert_eq!(clock.now(), schedule(9).fire_at(0));
         assert_eq!(attacker.service(|_| Some(vec![0x55])), vec![0]);
     }
 }

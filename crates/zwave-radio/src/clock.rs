@@ -91,7 +91,7 @@ impl SimClock {
     }
 
     /// Advances to `target` if it is in the future; no-op otherwise.
-    pub fn advance_to(&self, target: SimInstant) {
+    pub(crate) fn advance_to(&self, target: SimInstant) {
         self.micros.set(self.micros.get().max(target.0));
     }
 }

@@ -140,7 +140,7 @@ pub enum ImpairmentStage {
 impl ImpairmentStage {
     /// Whether the stage blacks out the channel at virtual time
     /// `now_micros`.
-    pub fn blacked_out(&self, now_micros: u64) -> bool {
+    pub(crate) fn blacked_out(&self, now_micros: u64) -> bool {
         let ImpairmentStage::Blackout { first_start, every, length } = self else {
             return false;
         };
@@ -177,22 +177,22 @@ impl ImpairmentSchedule {
     }
 
     /// The configured stages, in application order.
-    pub fn stages(&self) -> &[ImpairmentStage] {
+    pub(crate) fn stages(&self) -> &[ImpairmentStage] {
         &self.stages
     }
 
     /// Whether the schedule impairs anything at all.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.stages.is_empty()
     }
 
     /// Whether any blackout stage covers virtual time `now_micros`.
-    pub fn blacked_out(&self, now_micros: u64) -> bool {
+    pub(crate) fn blacked_out(&self, now_micros: u64) -> bool {
         self.stages.iter().any(|s| s.blacked_out(now_micros))
     }
 
     /// The Gilbert–Elliott channel of the first bursty-loss stage, if any.
-    pub fn gilbert_elliott(&self) -> Option<GilbertElliott> {
+    pub(crate) fn gilbert_elliott(&self) -> Option<GilbertElliott> {
         self.stages.iter().find_map(|s| match s {
             ImpairmentStage::BurstyLoss(ge) => Some(*ge),
             _ => None,
@@ -232,7 +232,7 @@ impl ImpairmentProfile {
     }
 
     /// The profile's canonical lowercase name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ImpairmentProfile::Clean => "clean",
             ImpairmentProfile::Lossy => "lossy",

@@ -20,7 +20,7 @@
 //! let mut attacker = Sniffer::attach(&medium, 70.0);
 //!
 //! hub.transmit(&[0xCB, 0x95, 0xA3, 0x4A, 0x01]);
-//! assert_eq!(lock.try_recv().unwrap().bytes[0], 0xCB);
+//! assert_eq!(lock.recv_where(|_| true).unwrap().bytes[0], 0xCB);
 //! attacker.poll();
 //! assert_eq!(attacker.captures().len(), 1);
 //! ```

@@ -18,7 +18,7 @@
 //! Crucially the shared clock does *not* move inside `transmit`: two
 //! stations transmitting back-to-back from the same handler observe the
 //! same `now`, and their frames serialize on `air_busy_until` in transmit
-//! order. Queries (`try_recv`, `drain`, `pending`, `stats`) first *flush*:
+//! order. Queries (`recv_where`, `drain`, `pending`, `stats`) first *flush*:
 //! they release every event due by `max(now, air_busy_until)` and advance
 //! the clock there, so receive-side observers still see airtime-accounted
 //! time exactly as before.
@@ -64,13 +64,6 @@ pub struct RxFrame {
     pub at: SimInstant,
     /// Received signal strength in centi-dBm (scaled to keep `Eq`).
     pub rssi_cdbm: i32,
-}
-
-impl RxFrame {
-    /// Received signal strength in dBm.
-    pub fn rssi_dbm(&self) -> f64 {
-        self.rssi_cdbm as f64 / 100.0
-    }
 }
 
 /// Aggregate medium statistics.
@@ -136,7 +129,6 @@ impl MediumStats {
 #[derive(Debug)]
 struct Station {
     queue: VecDeque<RxFrame>,
-    promiscuous: bool,
     position_m: f64,
     enabled: bool,
     region: Region,
@@ -253,7 +245,6 @@ impl Medium {
         let mut inner = self.inner.borrow_mut();
         inner.stations.push(Station {
             queue: VecDeque::new(),
-            promiscuous: false,
             position_m,
             enabled: true,
             region,
@@ -333,11 +324,6 @@ impl Medium {
             SimScheduler::MEDIUM_ACTOR,
             EventKind::BlackoutEnd { generation, stage: stage_idx },
         );
-    }
-
-    /// The active impairment schedule.
-    pub fn impairment(&self) -> ImpairmentSchedule {
-        self.inner.borrow().impairment.clone()
     }
 
     /// Whether a scripted blackout window is open right now.
@@ -661,12 +647,6 @@ impl Transceiver {
         self.medium.transmit(self.index, frame)
     }
 
-    /// Pops the next received frame, if any (releasing due deliveries
-    /// first).
-    pub fn try_recv(&self) -> Option<RxFrame> {
-        self.recv_where(|_| true)
-    }
-
     /// Pops the next received frame whose bytes `wanted` accepts, dropping
     /// every rejected frame queued ahead of it (releasing due deliveries
     /// first). However many frames it drops, this is one flush and one
@@ -745,31 +725,9 @@ impl Transceiver {
         self.index
     }
 
-    /// Enables or disables promiscuous capture. (All stations on a shared
-    /// broadcast medium physically receive everything; the flag is exposed
-    /// for tooling that models selective-address filtering itself.)
-    pub fn set_promiscuous(&self, on: bool) {
-        self.medium.inner.borrow_mut().stations[self.index].promiscuous = on;
-    }
-
-    /// Whether promiscuous capture is enabled.
-    pub fn is_promiscuous(&self) -> bool {
-        self.medium.inner.borrow().stations[self.index].promiscuous
-    }
-
     /// Powers the radio on or off; a disabled radio receives nothing.
     pub fn set_enabled(&self, on: bool) {
         self.medium.inner.borrow_mut().stations[self.index].enabled = on;
-    }
-
-    /// Distance of this radio from the origin, in metres.
-    pub fn position_m(&self) -> f64 {
-        self.medium.inner.borrow().stations[self.index].position_m
-    }
-
-    /// Moves the radio to a new position.
-    pub fn set_position_m(&self, position_m: f64) {
-        self.medium.inner.borrow_mut().stations[self.index].position_m = position_m;
     }
 
     /// The RF region this radio is tuned to.
@@ -801,9 +759,9 @@ mod tests {
         let b = medium.attach(5.0);
         let c = medium.attach(70.0);
         a.transmit(&[1, 2, 3]);
-        assert_eq!(a.try_recv(), None, "sender does not hear itself");
-        assert_eq!(b.try_recv().unwrap().bytes, vec![1, 2, 3]);
-        assert_eq!(c.try_recv().unwrap().bytes, vec![1, 2, 3]);
+        assert_eq!(a.recv_where(|_| true), None, "sender does not hear itself");
+        assert_eq!(b.recv_where(|_| true).unwrap().bytes, vec![1, 2, 3]);
+        assert_eq!(c.recv_where(|_| true).unwrap().bytes, vec![1, 2, 3]);
     }
 
     #[test]
@@ -902,9 +860,10 @@ mod tests {
         let a = medium.attach(0.0);
         let b = medium.attach(10.0);
         a.transmit(&[0xAA; 10]);
-        let rx = b.try_recv().unwrap();
+        let rx = b.recv_where(|_| true).unwrap();
         assert_eq!(rx.at, clock.now());
-        assert!((rx.rssi_dbm() + 60.0).abs() < 0.1, "rssi={}", rx.rssi_dbm());
+        let rssi_dbm = f64::from(rx.rssi_cdbm) / 100.0;
+        assert!((rssi_dbm + 60.0).abs() < 0.1, "rssi={rssi_dbm}");
     }
 
     #[test]
@@ -917,7 +876,7 @@ mod tests {
         assert_eq!(b.pending(), 0);
         b.set_enabled(true);
         a.transmit(&[2]);
-        assert_eq!(b.try_recv().unwrap().bytes, vec![2]);
+        assert_eq!(b.recv_where(|_| true).unwrap().bytes, vec![2]);
     }
 
     #[test]
@@ -945,7 +904,7 @@ mod tests {
         let a = medium.attach(0.0);
         let b = medium.attach(1.0);
         a.transmit(&[0u8; 8]);
-        let rx = b.try_recv().unwrap();
+        let rx = b.recv_where(|_| true).unwrap();
         assert_ne!(rx.bytes, vec![0u8; 8]);
         assert_eq!(medium.stats().corruptions, 1);
     }
@@ -961,15 +920,6 @@ mod tests {
         let frames = b.drain();
         assert_eq!(frames.iter().map(|f| f.bytes[0]).collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(b.pending(), 0);
-    }
-
-    #[test]
-    fn promiscuous_flag_roundtrip() {
-        let medium = Medium::new(SimClock::new(), 1);
-        let sniffer = medium.attach(70.0);
-        assert!(!sniffer.is_promiscuous());
-        sniffer.set_promiscuous(true);
-        assert!(sniffer.is_promiscuous());
     }
 
     #[test]
@@ -993,7 +943,7 @@ mod tests {
             let mut frames = Vec::new();
             for n in 0..4u8 {
                 a.transmit(&[n; 8]);
-                frames.push(b.try_recv().unwrap().bytes);
+                frames.push(b.recv_where(|_| true).unwrap().bytes);
             }
             frames
         };
@@ -1021,7 +971,7 @@ mod tests {
         let b = medium.attach(1.0);
         let c = medium.attach(2.0);
         a.transmit(&[0u8; 16]);
-        assert_ne!(b.try_recv().unwrap().bytes, c.try_recv().unwrap().bytes);
+        assert_ne!(b.recv_where(|_| true).unwrap().bytes, c.recv_where(|_| true).unwrap().bytes);
     }
 
     #[test]
@@ -1203,27 +1153,6 @@ mod tests {
         assert_eq!(delta.deliveries, 4);
         assert_eq!(delta.losses, 3);
         assert_eq!(MediumStats::default().since(&after).frames_sent, 0, "saturates");
-    }
-
-    #[test]
-    fn position_updates_affect_loss() {
-        let medium = Medium::with_noise(
-            SimClock::new(),
-            3,
-            NoiseModel { base_loss: 0.0, loss_per_meter: 0.02, corruption: 0.0 },
-        );
-        let a = medium.attach(0.0);
-        let near = medium.attach(1.0);
-        for _ in 0..200 {
-            a.transmit(&[1]);
-        }
-        let near_received = near.drain().len();
-        near.set_position_m(45.0); // 90% loss now
-        for _ in 0..200 {
-            a.transmit(&[1]);
-        }
-        let far_received = near.drain().len();
-        assert!(near_received > far_received, "{near_received} vs {far_received}");
     }
 
     #[test]

@@ -38,17 +38,17 @@ impl NoiseModel {
     /// Whether this model can neither lose nor corrupt a frame at any
     /// distance; [`NoiseModel::roll_loss`] and
     /// [`NoiseModel::corruption_plan`] then never draw from their RNG.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.base_loss <= 0.0 && self.loss_per_meter <= 0.0 && self.corruption <= 0.0
     }
 
     /// Loss probability for a receiver at `distance_m` metres.
-    pub fn loss_probability(&self, distance_m: f64) -> f64 {
+    pub(crate) fn loss_probability(&self, distance_m: f64) -> f64 {
         (self.base_loss + self.loss_per_meter * distance_m).clamp(0.0, 1.0)
     }
 
     /// Rolls whether a frame is lost for a receiver at `distance_m`.
-    pub fn roll_loss<R: Rng>(&self, rng: &mut R, distance_m: f64) -> bool {
+    pub(crate) fn roll_loss<R: Rng>(&self, rng: &mut R, distance_m: f64) -> bool {
         let p = self.loss_probability(distance_m);
         p > 0.0 && rng.gen_bool(p)
     }
@@ -56,9 +56,8 @@ impl NoiseModel {
     /// Rolls whether a frame of `len` bytes gets one byte corrupted,
     /// returning the byte index and XOR mask to apply if so. Splitting the
     /// decision from the write lets the zero-copy delivery path keep the
-    /// shared buffer intact unless a corruption actually lands; the RNG
-    /// draw sequence is identical to [`NoiseModel::roll_corruption`].
-    pub fn corruption_plan<R: Rng>(&self, rng: &mut R, len: usize) -> Option<(usize, u8)> {
+    /// shared buffer intact unless a corruption actually lands.
+    pub(crate) fn corruption_plan<R: Rng>(&self, rng: &mut R, len: usize) -> Option<(usize, u8)> {
         if len == 0 || self.corruption <= 0.0 || !rng.gen_bool(self.corruption.min(1.0)) {
             return None;
         }
@@ -66,22 +65,11 @@ impl NoiseModel {
         let flip = rng.gen_range(1..=255u8);
         Some((idx, flip))
     }
-
-    /// Possibly corrupts one byte of `frame`; returns `true` if it did.
-    pub fn roll_corruption<R: Rng>(&self, rng: &mut R, frame: &mut [u8]) -> bool {
-        match self.corruption_plan(rng, frame.len()) {
-            Some((idx, flip)) => {
-                frame[idx] ^= flip;
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Free-space-style received signal strength in dBm for a transmit power
 /// typical of a Z-Wave module (about -40 dBm at one metre).
-pub fn rssi_dbm(distance_m: f64) -> f64 {
+pub(crate) fn rssi_dbm(distance_m: f64) -> f64 {
     let d = distance_m.max(0.1);
     -40.0 - 20.0 * d.log10()
 }
@@ -96,12 +84,10 @@ mod tests {
     fn clean_channel_never_impairs() {
         let noise = NoiseModel::clean();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut frame = vec![1u8, 2, 3];
         for _ in 0..100 {
             assert!(!noise.roll_loss(&mut rng, 70.0));
-            assert!(!noise.roll_corruption(&mut rng, &mut frame));
+            assert_eq!(noise.corruption_plan(&mut rng, 3), None);
         }
-        assert_eq!(frame, vec![1, 2, 3]);
     }
 
     #[test]
@@ -125,18 +111,15 @@ mod tests {
     fn corruption_changes_exactly_one_byte() {
         let noise = NoiseModel { corruption: 1.0, ..NoiseModel::default() };
         let mut rng = StdRng::seed_from_u64(7);
-        let orig = vec![0u8; 16];
-        let mut frame = orig.clone();
-        assert!(noise.roll_corruption(&mut rng, &mut frame));
-        let diffs = frame.iter().zip(&orig).filter(|(a, b)| a != b).count();
-        assert_eq!(diffs, 1);
+        let (idx, flip) = noise.corruption_plan(&mut rng, 16).unwrap();
+        assert!(idx < 16 && flip != 0);
     }
 
     #[test]
     fn corruption_skips_empty_frames() {
         let noise = NoiseModel { corruption: 1.0, ..NoiseModel::default() };
         let mut rng = StdRng::seed_from_u64(7);
-        assert!(!noise.roll_corruption(&mut rng, &mut []));
+        assert_eq!(noise.corruption_plan(&mut rng, 0), None);
     }
 
     #[test]

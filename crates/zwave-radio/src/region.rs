@@ -22,7 +22,7 @@ pub enum Region {
 
 impl Region {
     /// Centre frequency in kHz.
-    pub fn frequency_khz(self) -> u32 {
+    pub(crate) fn frequency_khz(self) -> u32 {
         match self {
             Region::Eu868 => 868_420,
             Region::Us908 => 908_420,
@@ -32,7 +32,7 @@ impl Region {
     }
 
     /// Whether two radios can hear each other.
-    pub fn interoperates_with(self, other: Region) -> bool {
+    pub(crate) fn interoperates_with(self, other: Region) -> bool {
         self == other
     }
 }

@@ -338,7 +338,7 @@ impl SimScheduler {
     }
 
     /// The virtual clock this scheduler advances.
-    pub fn clock(&self) -> &SimClock {
+    pub(crate) fn clock(&self) -> &SimClock {
         &self.clock
     }
 
@@ -396,7 +396,7 @@ impl SimScheduler {
     /// `target` (confirm with [`SimScheduler::pop_due`] or friends). This
     /// is the hot-path early-out for the "anything due yet?" queries that
     /// dominate a campaign's kernel traffic.
-    pub fn maybe_due(&self, target: SimInstant) -> bool {
+    pub(crate) fn maybe_due(&self, target: SimInstant) -> bool {
         self.earliest.get() <= target.as_micros()
     }
 

@@ -2,7 +2,6 @@
 //! in scanning mode (paper Section IV, "we used the Yardstick dongle as the
 //! Z-Wave transceiver").
 
-use crate::clock::SimInstant;
 use crate::medium::{Medium, RxFrame, Transceiver};
 
 /// A promiscuous capture station with a persistent log.
@@ -17,7 +16,6 @@ impl Sniffer {
     /// attacker sits 10-70 m away).
     pub fn attach(medium: &Medium, position_m: f64) -> Self {
         let radio = medium.attach(position_m);
-        radio.set_promiscuous(true);
         Sniffer { radio, log: Vec::new() }
     }
 
@@ -35,20 +33,9 @@ impl Sniffer {
         &self.log
     }
 
-    /// Captured frames in a time window (inclusive start, exclusive end).
-    pub fn captures_between(&self, start: SimInstant, end: SimInstant) -> Vec<&RxFrame> {
-        self.log.iter().filter(|f| f.at >= start && f.at < end).collect()
-    }
-
     /// Clears the capture log.
     pub fn clear(&mut self) {
         self.log.clear();
-    }
-
-    /// The underlying radio (for injection through the same dongle, as
-    /// ZCover does: sniff, craft, inject).
-    pub fn radio(&self) -> &Transceiver {
-        &self.radio
     }
 }
 
@@ -70,30 +57,6 @@ mod tests {
         assert_eq!(sniffer.captures()[1].bytes, vec![3, 4]);
         // Polling again adds nothing.
         assert_eq!(sniffer.poll(), 0);
-    }
-
-    #[test]
-    fn sniffer_can_inject_through_its_radio() {
-        let medium = Medium::new(SimClock::new(), 1);
-        let victim = medium.attach(0.0);
-        let sniffer = Sniffer::attach(&medium, 70.0);
-        sniffer.radio().transmit(&[0xDE, 0xAD]);
-        assert_eq!(victim.try_recv().unwrap().bytes, vec![0xDE, 0xAD]);
-    }
-
-    #[test]
-    fn time_window_filtering() {
-        let clock = SimClock::new();
-        let medium = Medium::new(clock.clone(), 1);
-        let a = medium.attach(0.0);
-        let mut sniffer = Sniffer::attach(&medium, 10.0);
-        let mid = a.transmit(&[1]);
-        a.transmit(&[2]);
-        sniffer.poll();
-        let early = sniffer
-            .captures_between(SimInstant::ZERO, mid.plus(std::time::Duration::from_micros(1)));
-        assert_eq!(early.len(), 1);
-        assert_eq!(early[0].bytes, vec![1]);
     }
 
     #[test]

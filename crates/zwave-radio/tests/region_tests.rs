@@ -11,7 +11,7 @@ fn cross_region_radios_are_mutually_deaf() {
 
     eu.transmit(&[1, 2, 3]);
     assert_eq!(us.pending(), 0, "US radio must not hear the EU frame");
-    assert_eq!(eu2.try_recv().unwrap().bytes, vec![1, 2, 3]);
+    assert_eq!(eu2.recv_where(|_| true).unwrap().bytes, vec![1, 2, 3]);
 
     us.transmit(&[4]);
     assert_eq!(eu.pending(), 0);
@@ -37,7 +37,7 @@ fn retuning_restores_reception() {
         }
     }
     assert_eq!(dongle.region(), Region::Us908);
-    assert_eq!(dongle.try_recv().unwrap().bytes, vec![0xBB]);
+    assert_eq!(dongle.recv_where(|_| true).unwrap().bytes, vec![0xBB]);
 }
 
 #[test]

@@ -16,7 +16,7 @@ fn send(radio: &zcover_suite::zwave_radio::Transceiver, src: u8, dst: u8, payloa
 }
 
 fn recv_payload(radio: &zcover_suite::zwave_radio::Transceiver, me: u8) -> Option<Vec<u8>> {
-    while let Some(rx) = radio.try_recv() {
+    while let Some(rx) = radio.recv_where(|_| true) {
         let Ok(frame) = MacFrame::decode(&rx.bytes) else { continue };
         if frame.dst() == NodeId(me) && !frame.payload().is_empty() {
             return Some(frame.payload().to_vec());
