@@ -36,6 +36,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unconditional_recursion)]
 #![warn(missing_docs)]
 
 pub mod active;

@@ -80,7 +80,7 @@ impl FuzzTarget for HomeNetwork {
     }
 
     fn coverage_edges(&self) -> u64 {
-        HomeNetwork::coverage_edges(self)
+        self.station_edge_sum()
     }
 
     fn prepare_scenario(&mut self, scenario: Scenario) {
@@ -117,6 +117,6 @@ impl FuzzTarget for HomeNetwork {
     }
 
     fn injection_route(&self) -> Option<Vec<NodeId>> {
-        HomeNetwork::injection_route(self)
+        self.route_from_switch()
     }
 }

@@ -1,10 +1,13 @@
 //! At-scale trace analytics: `zcover trace stats`.
 //!
-//! Everything here is computed in **one streaming pass** over the record
-//! stream — a binary trace is decoded block by block and each record is
-//! fed to `TraceStats::observe` exactly once, so a multi-gigabyte
-//! city-sweep trace analyses in O(blocks) memory. The metrics answer the
-//! questions the paper's evaluation asks of a campaign:
+//! The statistics take one pass over a decoded record list: each record
+//! is fed to `TraceStats::observe` exactly once. The decoding is not
+//! streamed. `zcover trace stats` reads the whole file and decodes every
+//! record (`Trace::from_bytes`) before the pass starts, and with several
+//! paths it keeps every decoded trace until the cross-trial summary, so
+//! memory grows with trace length (about 70 MB for a 24 h campaign). The
+//! metrics answer the questions the paper's evaluation asks of a
+//! campaign:
 //!
 //! - **Per-CMDCL finding latency**: for each command class, how many
 //!   verdicts the oracle produced, which bug ids, and the virtual time to

@@ -14,7 +14,7 @@ use zwave_protocol::apl::ApplicationPayload;
 use zwave_protocol::nif::{self, NodeInfoFrame};
 use zwave_protocol::registry::{proprietary, Registry};
 use zwave_protocol::{CommandClassId, HomeId, MacFrame, NodeId};
-use zwave_radio::{FrameBuf, Medium, SimInstant, Transceiver};
+use zwave_radio::{FrameBuf, Medium, SimInstant};
 
 use zwave_crypto::s2::S2Session;
 
@@ -23,6 +23,7 @@ use crate::energy::{self, EnergyMeter};
 use crate::health::{EffectKind, FaultLog, FaultRecord, Health, RootCause};
 use crate::host::{AppLink, HostProgram};
 use crate::link::{LinkPolicy, LinkStats, PendingTx, DUP_WINDOW};
+use crate::node::{NodeRadio, Sent};
 use crate::nvm::{NodeDatabase, NodeRecord};
 use crate::vulns::{self, MacQuirk, VulnContext, VulnEffect};
 
@@ -89,8 +90,7 @@ pub struct ControllerStats {
 #[derive(Debug)]
 pub struct SimController {
     config: ControllerConfig,
-    radio: Transceiver,
-    node_id: NodeId,
+    pub(crate) radio: NodeRadio,
     implemented: BTreeSet<u8>,
     nvm: NodeDatabase,
     factory_nvm: NodeDatabase,
@@ -104,7 +104,6 @@ pub struct SimController {
     link_stats: LinkStats,
     pending_tx: Option<PendingTx>,
     recent_rx: std::collections::VecDeque<FrameBuf>,
-    seq: u8,
     s2_sessions: Vec<(NodeId, S2Session)>,
     patched_bugs: BTreeSet<u8>,
     associations: std::collections::BTreeMap<u8, Vec<u8>>,
@@ -164,7 +163,7 @@ impl SimController {
             offline: false,
             supported: config.listed.clone(),
         });
-        let radio = medium.attach(position_m);
+        let radio = NodeRadio::attach(medium, position_m, config.home_id, NodeId::CONTROLLER);
         let host = config.usb_host.then(HostProgram::new);
         let app = config.smart_hub.then(AppLink::new);
         let s0_key = zwave_crypto::NetworkKey::from_seed(0x5050_5050);
@@ -173,7 +172,6 @@ impl SimController {
             nvm,
             config,
             radio,
-            node_id: NodeId::CONTROLLER,
             implemented,
             health: Health::Operational,
             host,
@@ -185,7 +183,6 @@ impl SimController {
             link_stats: LinkStats::default(),
             pending_tx: None,
             recent_rx: std::collections::VecDeque::with_capacity(DUP_WINDOW),
-            seq: 0,
             s2_sessions: Vec::new(),
             patched_bugs: BTreeSet::new(),
             associations: std::collections::BTreeMap::new(),
@@ -345,7 +342,7 @@ impl SimController {
         self.nvm.restore(&snapshot);
         self.health = Health::Operational;
         if let Some(token) = self.pending_tx.take().and_then(|p| p.timer) {
-            self.radio.cancel_wakeup(token);
+            self.radio.transceiver().cancel_wakeup(token);
         }
         self.recent_rx.clear();
         if let Some(host) = &mut self.host {
@@ -362,104 +359,41 @@ impl SimController {
     }
 
     fn now(&self) -> SimInstant {
-        self.radio.medium().clock().now()
-    }
-
-    pub(crate) fn station_index(&self) -> usize {
-        self.radio.station_index()
-    }
-
-    pub(crate) fn rx_overflows(&self) -> u64 {
-        self.radio.rx_overflows()
-    }
-
-    pub(crate) fn has_pending(&self) -> bool {
-        self.radio.pending() > 0
+        self.radio.transceiver().medium().clock().now()
     }
 
     /// Sends an application payload to `dst` as an acknowledged singlecast.
     /// The frame is tracked for retransmission until `dst` acks it or the
     /// [`LinkPolicy`] retry budget runs out.
     pub(crate) fn send_apl(&mut self, dst: NodeId, payload: Vec<u8>) {
-        let mut fc = zwave_protocol::frame::FrameControl::singlecast(self.seq);
-        self.seq = (self.seq + 1) & 0x0F;
-        fc.sequence = self.seq;
-        let frame = MacFrame::try_new(
-            self.config.home_id,
-            self.node_id,
-            fc,
-            dst,
-            payload,
-            zwave_protocol::ChecksumKind::Cs8,
-        )
-        .expect("controller payloads are bounded");
-        let bytes = frame.to_buf();
-        // The arrival instant (transmit time plus queued airtime) anchors
-        // the ack wait: the receiver cannot ack before the frame lands.
-        let arrival = self.radio.transmit_buf(&bytes);
+        let Some(Sent { bytes, arrival, seq }) = self.radio.send(dst, &payload) else { return };
         self.stats.responses_sent += 1;
         // A newer transmission supersedes any still-unacked predecessor
         // (single in-flight frame, like the real single-buffer MAC).
         if let Some(token) = self.pending_tx.take().and_then(|p| p.timer) {
-            self.radio.cancel_wakeup(token);
+            self.radio.transceiver().cancel_wakeup(token);
         }
+        // The arrival instant (transmit time plus queued airtime) anchors
+        // the ack wait: the receiver cannot ack before the frame lands.
         let deadline = arrival.plus(self.link.wait_after(1));
         self.pending_tx = Some(PendingTx {
             bytes,
             dst,
-            seq: self.seq,
+            seq,
             attempts: 1,
             deadline,
-            timer: Some(self.radio.schedule_wakeup(deadline)),
+            timer: Some(self.radio.transceiver().schedule_wakeup(deadline)),
         });
-    }
-
-    /// Sends the routed acknowledgement for a source-routed frame that
-    /// just completed its final leg: same repeaters reversed, direction
-    /// bit cleared, empty APL. Repeaters relay it back with the ordinary
-    /// hop machinery. The MAC-level ack of the last-leg copy was already
-    /// sent by the addressing step; this is the end-to-end confirmation
-    /// the route originator waits for.
-    fn send_routed_ack(&mut self, origin: NodeId, inbound: &zwave_protocol::RoutingHeader) {
-        let mut fc = zwave_protocol::frame::FrameControl::singlecast(self.seq);
-        self.seq = (self.seq + 1) & 0x0F;
-        fc.sequence = self.seq;
-        fc.header_type = zwave_protocol::frame::HeaderType::Routed;
-        fc.ack_requested = false;
-        let Ok(frame) = MacFrame::try_new(
-            self.config.home_id,
-            self.node_id,
-            fc,
-            origin,
-            inbound.routed_ack().encode(),
-            zwave_protocol::ChecksumKind::Cs8,
-        ) else {
-            return;
-        };
-        self.radio.transmit_buf(&frame.to_buf());
-        self.stats.responses_sent += 1;
     }
 
     /// Polls the door lock's state through the paired S2 session — the
     /// "normal traffic" ZCover's passive scanner observes.
     pub fn query_door_lock(&mut self, lock: NodeId) {
         let home = self.config.home_id.0;
-        let (src, dst) = (self.node_id.0, lock.0);
+        let (src, dst) = (self.radio.node_id().0, lock.0);
         if let Some((_, session)) = self.s2_sessions.iter_mut().find(|(n, _)| *n == lock) {
             let encap = session.encapsulate(home, src, dst, &[0x62, 0x02]);
-            let mut fc = zwave_protocol::frame::FrameControl::singlecast(self.seq);
-            self.seq = (self.seq + 1) & 0x0F;
-            fc.sequence = self.seq;
-            let frame = MacFrame::try_new(
-                self.config.home_id,
-                self.node_id,
-                fc,
-                lock,
-                encap,
-                zwave_protocol::ChecksumKind::Cs8,
-            )
-            .expect("bounded");
-            self.radio.transmit_buf(&frame.to_buf());
+            self.radio.send(lock, &encap);
         }
     }
 
@@ -498,12 +432,12 @@ impl SimController {
         // clone is a ref-count bump on the shared frame buffer.
         let bytes = pending.bytes.clone();
         let attempts = pending.attempts + 1;
-        let arrival = self.radio.transmit_buf(&bytes);
+        let arrival = self.radio.resend(&bytes);
         self.link_stats.retransmissions += 1;
         // The expired wakeup already fired (that is what got us polled), so
         // only the fresh one needs arming.
         let deadline = arrival.plus(self.link.wait_after(attempts));
-        let timer = Some(self.radio.schedule_wakeup(deadline));
+        let timer = Some(self.radio.transceiver().schedule_wakeup(deadline));
         if let Some(pending) = self.pending_tx.as_mut() {
             pending.attempts = attempts;
             pending.deadline = deadline;
@@ -543,7 +477,7 @@ impl SimController {
             let until = self.now().plus(vulns::MAC_QUIRK_OUTAGE);
             self.health = Health::BusyUntil(until);
             // Wakeup hint so an event-driven driver re-polls at recovery.
-            self.radio.schedule_wakeup(until);
+            self.radio.transceiver().schedule_wakeup(until);
             self.faults.push(FaultRecord {
                 at: self.now(),
                 bug_id: 100 + quirk.id,
@@ -575,7 +509,7 @@ impl SimController {
             let Ok((header, apl)) = zwave_protocol::MulticastHeader::decode(frame.payload()) else {
                 return;
             };
-            if !header.contains(self.node_id) {
+            if !header.contains(self.radio.node_id()) {
                 return;
             }
             if self.is_duplicate(raw) {
@@ -586,7 +520,7 @@ impl SimController {
             }
             return;
         }
-        if frame.dst() != self.node_id && !frame.dst().is_broadcast() {
+        if frame.dst() != self.radio.node_id() && !frame.dst().is_broadcast() {
             return;
         }
         if frame.is_ack() {
@@ -594,20 +528,13 @@ impl SimController {
             if let Some(pending) = &self.pending_tx {
                 if frame.src() == pending.dst && frame.frame_control().sequence == pending.seq {
                     if let Some(token) = self.pending_tx.take().and_then(|p| p.timer) {
-                        self.radio.cancel_wakeup(token);
+                        self.radio.transceiver().cancel_wakeup(token);
                     }
                 }
             }
             return;
         }
-        if frame.frame_control().ack_requested {
-            let ack = MacFrame::ack(
-                self.config.home_id,
-                self.node_id,
-                frame.src(),
-                frame.frame_control().sequence,
-            );
-            self.radio.transmit_buf(&ack.to_buf());
+        if self.radio.ack_if_requested(&frame) {
             self.stats.acks_sent += 1;
         }
         // Duplicate suppression comes *after* the MAC ack: a retransmitted
@@ -627,8 +554,10 @@ impl SimController {
             if !header.on_final_leg() {
                 return; // a repeater, not us, must handle this copy
             }
-            if header.outbound {
-                self.send_routed_ack(frame.src(), &header);
+            // The end-to-end confirmation the route originator waits
+            // for; the MAC ack of this last-leg copy already went out.
+            if header.outbound && self.radio.send_routed_ack(frame.src(), &header) {
+                self.stats.responses_sent += 1;
             }
             if let Ok(payload) = ApplicationPayload::parse(apl) {
                 self.rx_via_route = true;
@@ -665,7 +594,7 @@ impl SimController {
         if cc == CommandClassId::SECURITY_2 && payload.command() == Some(0x03) {
             self.coverage.record(cc.0, cmd, cov::ENCAP);
             let home = self.config.home_id.0;
-            let (s, d) = (src.0, self.node_id.0);
+            let (s, d) = (src.0, self.radio.node_id().0);
             let bytes = payload.encode();
             if let Some((_, session)) = self.s2_sessions.iter_mut().find(|(n, _)| *n == src) {
                 if let Ok(inner) = session.decapsulate(home, s, d, &bytes) {
@@ -764,7 +693,7 @@ impl SimController {
                     if let Ok(inner) = zwave_crypto::s0::decapsulate(
                         &self.s0_cache,
                         src.0,
-                        self.node_id.0,
+                        self.radio.node_id().0,
                         &receiver_nonce,
                         &bytes,
                     ) {
@@ -844,7 +773,7 @@ impl SimController {
             encrypted,
             usb_host: self.config.usb_host,
             smart_hub: self.config.smart_hub,
-            self_node: self.node_id.0,
+            self_node: self.radio.node_id().0,
             reinclusion_armed: matches!(self.reinclusion, ReinclusionState::Armed(_)),
             downgrade_active: matches!(self.reinclusion, ReinclusionState::Downgraded(_)),
             via_route: self.rx_via_route,
@@ -897,7 +826,7 @@ impl SimController {
                 self.health = Health::BusyUntil(until);
                 // Wakeup hint so an event-driven driver re-polls at
                 // recovery instead of stepping through the outage.
-                self.radio.schedule_wakeup(until);
+                self.radio.transceiver().schedule_wakeup(until);
             }
             VulnEffect::ClearWakeup { node } => {
                 if let Some(rec) = self.nvm.get_mut(NodeId(*node)) {
@@ -947,7 +876,7 @@ impl SimController {
             }
             (0x02, Some(0x01)) => {
                 // Zensor bind request → bind accept.
-                self.send_apl(src, vec![0x02, 0x02, self.node_id.0]);
+                self.send_apl(src, vec![0x02, 0x02, self.radio.node_id().0]);
             }
             (0x02, Some(c)) if proprietary::ZENSOR_NET.command(c).is_some() => {
                 self.send_apl(src, vec![0x22, 0x01, 0x00, 0x00]);
@@ -1024,7 +953,7 @@ impl SimController {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use zwave_radio::SimClock;
+    use zwave_radio::{SimClock, Transceiver};
 
     fn test_config() -> ControllerConfig {
         ControllerConfig {
@@ -1483,7 +1412,7 @@ mod tests {
 #[cfg(test)]
 mod app_state_tests {
     use super::*;
-    use zwave_radio::SimClock;
+    use zwave_radio::{SimClock, Transceiver};
 
     fn setup() -> (Medium, SimController, Transceiver) {
         let medium = Medium::new(SimClock::new(), 7);

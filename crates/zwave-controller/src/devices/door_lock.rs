@@ -3,19 +3,17 @@
 use zwave_crypto::s2::S2Session;
 use zwave_protocol::apl::ApplicationPayload;
 use zwave_protocol::{CommandClassId, HomeId, MacFrame, NodeId};
-use zwave_radio::{Medium, Transceiver};
+use zwave_radio::Medium;
 
 use crate::coverage::{state as cov, CoverageMap};
+use crate::node::NodeRadio;
 
 /// Simulated Schlage BE469ZP door lock, paired with its controller via S2.
 #[derive(Debug)]
 pub struct SimDoorLock {
-    radio: Transceiver,
-    home_id: HomeId,
-    node_id: NodeId,
+    pub(crate) radio: NodeRadio,
     session: S2Session,
     locked: bool,
-    seq: u8,
     coverage: CoverageMap,
 }
 
@@ -29,12 +27,9 @@ impl SimDoorLock {
         session: S2Session,
     ) -> Self {
         SimDoorLock {
-            radio: medium.attach(position_m),
-            home_id,
-            node_id,
+            radio: NodeRadio::attach(medium, position_m, home_id, node_id),
             session,
             locked: true,
-            seq: 0,
             coverage: CoverageMap::new(),
         }
     }
@@ -44,37 +39,9 @@ impl SimDoorLock {
         &self.coverage
     }
 
-    pub(crate) fn station_index(&self) -> usize {
-        self.radio.station_index()
-    }
-
-    pub(crate) fn rx_overflows(&self) -> u64 {
-        self.radio.rx_overflows()
-    }
-
-    pub(crate) fn has_pending(&self) -> bool {
-        self.radio.pending() > 0
-    }
-
     /// Whether the bolt is currently thrown.
     pub fn is_locked(&self) -> bool {
         self.locked
-    }
-
-    fn send(&mut self, dst: NodeId, payload: Vec<u8>) {
-        let mut fc = zwave_protocol::frame::FrameControl::singlecast(self.seq);
-        self.seq = (self.seq + 1) & 0x0F;
-        fc.sequence = self.seq;
-        let frame = MacFrame::try_new(
-            self.home_id,
-            self.node_id,
-            fc,
-            dst,
-            payload,
-            zwave_protocol::ChecksumKind::Cs8,
-        )
-        .expect("lock payloads are bounded");
-        self.radio.transmit_buf(&frame.to_buf());
     }
 
     /// Processes pending frames: answers S2-encapsulated door-lock
@@ -91,26 +58,18 @@ impl SimDoorLock {
     /// [`SimDoorLock::accepts`] passes.
     pub fn receive(&mut self, raw: &[u8]) {
         let Ok(frame) = MacFrame::decode(raw) else { return };
-        if frame.home_id() != self.home_id || frame.dst() != self.node_id {
+        let (home_id, node_id) = (self.radio.home_id(), self.radio.node_id());
+        if frame.home_id() != home_id || frame.dst() != node_id {
             return;
         }
-        if frame.frame_control().ack_requested && !frame.is_ack() {
-            let ack = MacFrame::ack(
-                self.home_id,
-                self.node_id,
-                frame.src(),
-                frame.frame_control().sequence,
-            );
-            self.radio.transmit_buf(&ack.to_buf());
-        }
+        self.radio.ack_if_requested(&frame);
         let Ok(payload) = ApplicationPayload::parse(frame.payload()) else { return };
         if payload.command_class() != CommandClassId::SECURITY_2 || payload.command() != Some(0x03)
         {
             return; // unencrypted application traffic is refused
         }
         let bytes = payload.encode();
-        let Ok(inner) =
-            self.session.decapsulate(self.home_id.0, frame.src().0, self.node_id.0, &bytes)
+        let Ok(inner) = self.session.decapsulate(home_id.0, frame.src().0, node_id.0, &bytes)
         else {
             return;
         };
@@ -124,7 +83,9 @@ impl SimDoorLock {
     /// still passes, since the lock decapsulates S2 from any frame type.
     pub fn accepts(&self, raw: &[u8]) -> bool {
         MacFrame::peek(raw).is_some_and(|peek| {
-            peek.home_id == self.home_id && peek.dst == self.node_id && !peek.is_empty_ack()
+            peek.home_id == self.radio.home_id()
+                && peek.dst == self.radio.node_id()
+                && !peek.is_empty_ack()
         })
     }
 
@@ -143,23 +104,20 @@ impl SimDoorLock {
             // Door Lock Operation Get.
             (0x62, Some(0x02)) => self.report_state(src),
             // Battery Get.
-            (0x80, Some(0x02)) => {
-                let report = self.session.encapsulate(
-                    self.home_id.0,
-                    self.node_id.0,
-                    src.0,
-                    &[0x80, 0x03, 0x5F],
-                );
-                self.send(src, report);
-            }
+            (0x80, Some(0x02)) => self.send_secure(src, &[0x80, 0x03, 0x5F]),
             _ => {}
         }
     }
 
     fn report_state(&mut self, dst: NodeId) {
         let mode = if self.locked { 0xFF } else { 0x00 };
+        self.send_secure(dst, &[0x62, 0x03, mode]);
+    }
+
+    /// Sends `apl` to `dst` under the S2 session.
+    fn send_secure(&mut self, dst: NodeId, apl: &[u8]) {
         let report =
-            self.session.encapsulate(self.home_id.0, self.node_id.0, dst.0, &[0x62, 0x03, mode]);
-        self.send(dst, report);
+            self.session.encapsulate(self.radio.home_id().0, self.radio.node_id().0, dst.0, apl);
+        self.radio.send(dst, &report);
     }
 }

@@ -8,14 +8,16 @@ use zwave_crypto::s0::{self, S0Keys};
 use zwave_crypto::NetworkKey;
 use zwave_protocol::apl::ApplicationPayload;
 use zwave_protocol::{HomeId, MacFrame, NodeId};
-use zwave_radio::{Medium, Transceiver};
+use zwave_radio::Medium;
 
 use crate::coverage::{state as cov, CoverageMap};
+use crate::node::NodeRadio;
 
 /// Sensor wake-cycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SensorState {
-    /// Radio parked; nothing is received or sent.
+    /// Asleep: sends nothing and reads nothing. Frames still land in
+    /// its receive ring; [`SimSensor::wake`] discards them unread.
     Sleeping,
     /// Woke up: announced itself and requested an S0 nonce.
     AwaitingNonce,
@@ -24,15 +26,12 @@ enum SensorState {
 /// The simulated S0 motion sensor.
 #[derive(Debug)]
 pub struct SimSensor {
-    radio: Transceiver,
-    home_id: HomeId,
-    node_id: NodeId,
+    pub(crate) radio: NodeRadio,
     controller: NodeId,
     keys: S0Keys,
     state: SensorState,
     motion: bool,
     reports_sent: u32,
-    seq: u8,
     nonce_counter: u64,
     coverage: CoverageMap,
 }
@@ -48,15 +47,12 @@ impl SimSensor {
         key: &NetworkKey,
     ) -> Self {
         SimSensor {
-            radio: medium.attach(position_m),
-            home_id,
-            node_id,
+            radio: NodeRadio::attach(medium, position_m, home_id, node_id),
             controller,
             keys: S0Keys::derive(key),
             state: SensorState::Sleeping,
             motion: false,
             reports_sent: 0,
-            seq: 0,
             nonce_counter: 0,
             coverage: CoverageMap::new(),
         }
@@ -65,18 +61,6 @@ impl SimSensor {
     /// APL dispatch-edge coverage of the sensor's awake-state handler.
     pub fn coverage(&self) -> &CoverageMap {
         &self.coverage
-    }
-
-    pub(crate) fn station_index(&self) -> usize {
-        self.radio.station_index()
-    }
-
-    pub(crate) fn rx_overflows(&self) -> u64 {
-        self.radio.rx_overflows()
-    }
-
-    pub(crate) fn has_pending(&self) -> bool {
-        self.radio.pending() > 0
     }
 
     /// How many S0-protected reports it has delivered.
@@ -89,29 +73,17 @@ impl SimSensor {
         self.motion = motion;
     }
 
-    fn send(&mut self, payload: Vec<u8>) {
-        let mut fc = zwave_protocol::frame::FrameControl::singlecast(self.seq);
-        self.seq = (self.seq + 1) & 0x0F;
-        fc.sequence = self.seq;
-        if let Ok(frame) = MacFrame::try_new(
-            self.home_id,
-            self.node_id,
-            fc,
-            self.controller,
-            payload,
-            zwave_protocol::ChecksumKind::Cs8,
-        ) {
-            self.radio.transmit_buf(&frame.to_buf());
-        }
+    fn send(&mut self, payload: &[u8]) {
+        self.radio.send(self.controller, payload);
     }
 
     /// Wakes the sensor: it announces itself (Wake Up Notification) and
     /// requests an S0 nonce for the encrypted report that follows.
     pub fn wake(&mut self) {
-        // Drop anything that arrived while asleep (the radio was off).
-        let _ = self.radio.drain();
-        self.send(vec![0x84, 0x07]);
-        self.send(vec![0x98, s0::cmd::NONCE_GET]);
+        // Drop unread whatever reached the ring while asleep.
+        self.radio.discard_pending();
+        self.send(&[0x84, 0x07]);
+        self.send(&[0x98, s0::cmd::NONCE_GET]);
         self.state = SensorState::AwaitingNonce;
     }
 
@@ -130,7 +102,7 @@ impl SimSensor {
     /// [`SimSensor::accepts`] passes.
     pub fn receive(&mut self, raw: &[u8]) {
         let Ok(frame) = MacFrame::decode(raw) else { return };
-        if frame.home_id() != self.home_id || frame.dst() != self.node_id {
+        if frame.home_id() != self.radio.home_id() || frame.dst() != self.radio.node_id() {
             return;
         }
         let Ok(payload) = ApplicationPayload::parse(frame.payload()) else { return };
@@ -152,16 +124,16 @@ impl SimSensor {
             let report = [0x30, 0x03, if self.motion { 0xFF } else { 0x00 }, 0x0C];
             let encap = s0::encapsulate(
                 &self.keys,
-                self.node_id.0,
+                self.radio.node_id().0,
                 self.controller.0,
                 &sender_nonce,
                 &receiver_nonce,
                 &report,
             );
-            self.send(encap);
+            self.send(&encap);
             self.reports_sent += 1;
             // No more information: back to sleep.
-            self.send(vec![0x84, 0x08]);
+            self.send(&[0x84, 0x08]);
             self.state = SensorState::Sleeping;
         }
     }
@@ -170,7 +142,9 @@ impl SimSensor {
     /// home addressed to the sensor with a payload to parse.
     pub fn accepts(&self, raw: &[u8]) -> bool {
         MacFrame::peek(raw).is_some_and(|peek| {
-            peek.home_id == self.home_id && peek.dst == self.node_id && peek.carries_payload()
+            peek.home_id == self.radio.home_id()
+                && peek.dst == self.radio.node_id()
+                && peek.carries_payload()
         })
     }
 

@@ -2,19 +2,17 @@
 
 use zwave_protocol::apl::ApplicationPayload;
 use zwave_protocol::{HeaderType, HomeId, MacFrame, NodeId, RoutingHeader};
-use zwave_radio::{Medium, Transceiver};
+use zwave_radio::Medium;
 
 use crate::coverage::{state as cov, CoverageMap};
+use crate::node::NodeRadio;
 
 /// Simulated GE Jasco ZW4201 switch: plain-text Basic / Switch Binary.
 #[derive(Debug)]
 pub struct SimSwitch {
-    radio: Transceiver,
-    home_id: HomeId,
-    node_id: NodeId,
+    pub(crate) radio: NodeRadio,
     controller: NodeId,
     on: bool,
-    seq: u8,
     coverage: CoverageMap,
     /// Repeater chain for reports to the controller (`None` = direct RF).
     /// Set by the network builder when the switch sits beyond the
@@ -34,12 +32,9 @@ impl SimSwitch {
         controller: NodeId,
     ) -> Self {
         SimSwitch {
-            radio: medium.attach(position_m),
-            home_id,
-            node_id,
+            radio: NodeRadio::attach(medium, position_m, home_id, node_id),
             controller,
             on: false,
-            seq: 0,
             coverage: CoverageMap::new(),
             report_route: None,
             routed_acks_received: 0,
@@ -64,37 +59,9 @@ impl SimSwitch {
         &self.coverage
     }
 
-    pub(crate) fn station_index(&self) -> usize {
-        self.radio.station_index()
-    }
-
-    pub(crate) fn rx_overflows(&self) -> u64 {
-        self.radio.rx_overflows()
-    }
-
-    pub(crate) fn has_pending(&self) -> bool {
-        self.radio.pending() > 0
-    }
-
     /// Whether the load is powered.
     pub fn is_on(&self) -> bool {
         self.on
-    }
-
-    fn send(&mut self, dst: NodeId, payload: Vec<u8>) {
-        let mut fc = zwave_protocol::frame::FrameControl::singlecast(self.seq);
-        self.seq = (self.seq + 1) & 0x0F;
-        fc.sequence = self.seq;
-        let frame = MacFrame::try_new(
-            self.home_id,
-            self.node_id,
-            fc,
-            dst,
-            payload,
-            zwave_protocol::ChecksumKind::Cs8,
-        )
-        .expect("switch payloads are bounded");
-        self.radio.transmit_buf(&frame.to_buf());
     }
 
     /// Processes pending frames (legacy devices accept unencrypted
@@ -110,43 +77,20 @@ impl SimSwitch {
     /// [`SimSwitch::accepts`] passes.
     pub fn receive(&mut self, raw: &[u8]) {
         let Ok(frame) = MacFrame::decode(raw) else { return };
-        if frame.home_id() != self.home_id {
+        if frame.home_id() != self.radio.home_id() {
             return;
         }
         // Routing-slave duty: forward routed frames whose current
         // repeater is us, advancing the hop index; accept routed
         // frames that completed their final leg addressed to us.
         if frame.frame_control().header_type == HeaderType::Routed {
-            let Ok((mut header, apl)) = RoutingHeader::decode(frame.payload()) else { return };
-            if header.current_repeater() == Some(self.node_id) {
-                header.advance();
-                let mut payload = header.encode();
-                payload.extend_from_slice(apl);
-                let mut fc = frame.frame_control();
-                fc.sequence = self.seq;
-                self.seq = (self.seq + 1) & 0x0F;
-                if let Ok(forwarded) = MacFrame::try_new(
-                    self.home_id,
-                    frame.src(),
-                    fc,
-                    frame.dst(),
-                    payload,
-                    zwave_protocol::ChecksumKind::Cs8,
-                ) {
-                    self.radio.transmit_buf(&forwarded.to_buf());
-                }
-            } else if header.on_final_leg() && frame.dst() == self.node_id {
-                if frame.frame_control().ack_requested {
-                    let ack = MacFrame::ack(
-                        self.home_id,
-                        self.node_id,
-                        frame.src(),
-                        frame.frame_control().sequence,
-                    );
-                    self.radio.transmit_buf(&ack.to_buf());
-                }
+            let Ok((header, apl)) = RoutingHeader::decode(frame.payload()) else { return };
+            if header.current_repeater() == Some(self.radio.node_id()) {
+                self.radio.relay(&frame, header, apl);
+            } else if header.on_final_leg() && frame.dst() == self.radio.node_id() {
+                self.radio.ack_if_requested(&frame);
                 if header.outbound {
-                    self.send_routed_ack(frame.src(), &header);
+                    self.radio.send_routed_ack(frame.src(), &header);
                     if let Ok(payload) = ApplicationPayload::parse(apl) {
                         self.handle_apl(frame.src(), &payload);
                     }
@@ -158,18 +102,10 @@ impl SimSwitch {
             }
             return;
         }
-        if frame.dst() != self.node_id {
+        if frame.dst() != self.radio.node_id() {
             return;
         }
-        if frame.frame_control().ack_requested && !frame.is_ack() {
-            let ack = MacFrame::ack(
-                self.home_id,
-                self.node_id,
-                frame.src(),
-                frame.frame_control().sequence,
-            );
-            self.radio.transmit_buf(&ack.to_buf());
-        }
+        self.radio.ack_if_requested(&frame);
         let Ok(payload) = ApplicationPayload::parse(frame.payload()) else { return };
         self.handle_apl(frame.src(), &payload);
     }
@@ -180,9 +116,9 @@ impl SimSwitch {
     /// still passes, since the switch parses any frame type's payload.
     pub fn accepts(&self, raw: &[u8]) -> bool {
         MacFrame::peek(raw).is_some_and(|peek| {
-            peek.home_id == self.home_id
+            peek.home_id == self.radio.home_id()
                 && (peek.header_type == Some(HeaderType::Routed)
-                    || (peek.dst == self.node_id && !peek.is_empty_ack()))
+                    || (peek.dst == self.radio.node_id() && !peek.is_empty_ack()))
         })
     }
 
@@ -204,29 +140,9 @@ impl SimSwitch {
         }
     }
 
-    /// Confirms a routed delivery end-to-end: same repeaters reversed,
-    /// direction bit cleared, hop reset, empty APL.
-    fn send_routed_ack(&mut self, origin: NodeId, inbound: &RoutingHeader) {
-        let mut fc = zwave_protocol::frame::FrameControl::singlecast(self.seq);
-        self.seq = (self.seq + 1) & 0x0F;
-        fc.sequence = self.seq;
-        fc.header_type = HeaderType::Routed;
-        fc.ack_requested = false;
-        if let Ok(frame) = MacFrame::try_new(
-            self.home_id,
-            self.node_id,
-            fc,
-            origin,
-            inbound.routed_ack().encode(),
-            zwave_protocol::ChecksumKind::Cs8,
-        ) {
-            self.radio.transmit_buf(&frame.to_buf());
-        }
-    }
-
     fn report_state(&mut self, dst: NodeId) {
         let level = if self.on { 0xFF } else { 0x00 };
-        self.send(dst, vec![0x25, 0x03, level]);
+        self.radio.send(dst, &[0x25, 0x03, level]);
     }
 
     /// Proactively reports status to the controller — through the
@@ -234,27 +150,8 @@ impl SimSwitch {
     pub(crate) fn report_to_controller(&mut self) {
         let level = if self.on { 0xFF } else { 0x00 };
         match self.report_route.clone() {
-            Some(route) => self.send_routed(self.controller, route, &[0x25, 0x03, level]),
+            Some(route) => self.radio.send_routed(self.controller, route, &[0x25, 0x03, level]),
             None => self.report_state(self.controller),
-        }
-    }
-
-    fn send_routed(&mut self, dst: NodeId, route: Vec<NodeId>, apl: &[u8]) {
-        let mut payload = RoutingHeader::outbound(route).encode();
-        payload.extend_from_slice(apl);
-        let mut fc = zwave_protocol::frame::FrameControl::singlecast(self.seq);
-        self.seq = (self.seq + 1) & 0x0F;
-        fc.sequence = self.seq;
-        fc.header_type = HeaderType::Routed;
-        if let Ok(frame) = MacFrame::try_new(
-            self.home_id,
-            self.node_id,
-            fc,
-            dst,
-            payload,
-            zwave_protocol::ChecksumKind::Cs8,
-        ) {
-            self.radio.transmit_buf(&frame.to_buf());
         }
     }
 }

@@ -43,6 +43,7 @@ pub mod ids;
 pub mod link;
 pub mod neighbors;
 pub mod network;
+mod node;
 pub mod nvm;
 pub mod testbed;
 pub mod topology;

@@ -234,7 +234,7 @@ impl HomeNetwork {
     /// controller, resolved against the current neighbor table from the
     /// switch's side of the mesh. `None` on flat topologies — which is
     /// exactly why routed-dispatch bugs stay invisible there.
-    pub fn injection_route(&self) -> Option<Vec<NodeId>> {
+    pub fn route_from_switch(&self) -> Option<Vec<NodeId>> {
         self.neighbors.best_route(SWITCH_NODE, NodeId::CONTROLLER).filter(|route| !route.is_empty())
     }
 
@@ -248,7 +248,7 @@ impl HomeNetwork {
     /// every slave. Per-device edge IDs are disjoint only within a device,
     /// so this sum can overcount shared edges — but it is monotonic and
     /// O(1), which is all the fuzzer's per-packet feedback read needs.
-    pub fn coverage_edges(&self) -> u64 {
+    pub fn station_edge_sum(&self) -> u64 {
         self.controller.coverage().edges()
             + self.lock.coverage().edges()
             + self.switch.coverage().edges()
@@ -279,14 +279,11 @@ impl HomeNetwork {
     /// attacker's dongle and sniffers). Kept out of the campaign counters
     /// and reports.
     pub fn station_rx_overflows(&self) -> Vec<(NodeId, u64)> {
-        let mut counts = vec![
-            (NodeId::CONTROLLER, self.controller.rx_overflows()),
-            (LOCK_NODE, self.lock.rx_overflows()),
-            (SWITCH_NODE, self.switch.rx_overflows()),
-        ];
-        counts.extend(self.sensor.as_ref().map(|s| (SENSOR_NODE, s.rx_overflows())));
-        counts.extend(self.repeaters.iter().map(|r| (r.node_id(), r.rx_overflows())));
-        counts
+        let radios = [&self.controller.radio, &self.lock.radio, &self.switch.radio]
+            .into_iter()
+            .chain(self.sensor.as_ref().map(|s| &s.radio))
+            .chain(self.repeaters.iter().map(|r| &r.radio));
+        radios.map(|radio| (radio.node_id(), radio.rx_overflows())).collect()
     }
 
     /// Lets every station process pending traffic, event-driven: each
@@ -296,37 +293,32 @@ impl HomeNetwork {
     /// adversarial impairment schedules from spinning forever; each pump
     /// the bound cuts short counts in [`HomeNetwork::pump_cap_hits`]).
     pub fn pump(&mut self) {
-        let ctrl_idx = self.controller.station_index();
-        let lock_idx = self.lock.station_index();
-        let switch_idx = self.switch.station_index();
-        let sensor_idx = self.sensor.as_ref().map(|s| s.station_index());
         for _ in 0..PUMP_ROUNDS {
             let fired = self.medium.take_fired_actors();
             let mut progressed = false;
-            if fired.contains(&ctrl_idx) || self.controller.has_pending() {
+            if self.controller.radio.is_due(&fired) {
                 self.controller.poll();
                 progressed = true;
             }
-            if fired.contains(&lock_idx) || self.lock.has_pending() {
+            if self.lock.radio.is_due(&fired) {
                 self.lock.poll();
                 progressed = true;
             }
-            if fired.contains(&switch_idx) || self.switch.has_pending() {
+            if self.switch.radio.is_due(&fired) {
                 self.switch.poll();
                 progressed = true;
             }
             for repeater in &mut self.repeaters {
-                if fired.contains(&repeater.station_index()) || repeater.has_pending() {
+                if repeater.radio.is_due(&fired) {
                     repeater.poll();
                     progressed = true;
                 }
             }
             if let Some(sensor) = &mut self.sensor {
-                // A sleeping sensor's radio is off: frames queue unread, so
-                // pending traffic alone is not progress it can make.
-                if !sensor.is_sleeping()
-                    && (sensor_idx.is_some_and(|idx| fired.contains(&idx)) || sensor.has_pending())
-                {
+                // A sleeping sensor reads nothing: frames still reach its
+                // ring, where `wake` discards them unread, so pending
+                // traffic alone is not progress it can make.
+                if !sensor.is_sleeping() && sensor.radio.is_due(&fired) {
                     sensor.poll();
                     progressed = true;
                 }
@@ -346,7 +338,7 @@ impl HomeNetwork {
     pub fn exchange_normal_traffic(&mut self) {
         self.controller.query_door_lock(LOCK_NODE);
         self.pump();
-        let route = self.injection_route();
+        let route = self.route_from_switch();
         if let Some(r) = &route {
             self.neighbors.note_use(SWITCH_NODE, r, NodeId::CONTROLLER);
         }
@@ -369,7 +361,7 @@ mod tests {
     fn star_homes_have_no_repeaters_or_injection_route() {
         let home = HomeNetwork::new(DeviceModel::D1, Topology::Star, 5);
         assert!(home.repeaters.is_empty());
-        assert_eq!(home.injection_route(), None);
+        assert_eq!(home.route_from_switch(), None);
     }
 
     #[test]
@@ -378,7 +370,7 @@ mod tests {
             for seed in 0..8u64 {
                 let home = HomeNetwork::new(DeviceModel::D1, topology, seed);
                 let route = home
-                    .injection_route()
+                    .route_from_switch()
                     .unwrap_or_else(|| panic!("{topology} seed {seed}: no injection route"));
                 assert!((1..=4).contains(&route.len()), "{topology} seed {seed}");
             }
@@ -403,7 +395,7 @@ mod tests {
         let mut home = HomeNetwork::new(DeviceModel::D1, Topology::Line, 3);
         // The switch-side first hop of the route is the link normal
         // traffic must age.
-        let first = home.injection_route().unwrap()[0];
+        let first = home.route_from_switch().unwrap()[0];
         let fresh_before = home.neighbors.freshness(SWITCH_NODE, first);
         home.exchange_normal_traffic();
         let fresh_after = home.neighbors.freshness(SWITCH_NODE, first);
@@ -432,7 +424,7 @@ mod tests {
         let b = HomeNetwork::new(DeviceModel::D3, Topology::Mesh, 11);
         assert_eq!(a.controller().home_id(), b.controller().home_id());
         assert_eq!(a.sensor().is_some(), b.sensor().is_some());
-        assert_eq!(a.injection_route(), b.injection_route());
+        assert_eq!(a.route_from_switch(), b.route_from_switch());
         assert_eq!(a.repeaters.len(), b.repeaters.len());
     }
 

@@ -241,7 +241,7 @@ mod tests {
             let mut tb = Testbed::new(model, 3);
             assert_eq!(tb.controller().home_id(), model.config().home_id, "{model:?}");
             assert_eq!(tb.station_rx_overflows().len(), 3, "{model:?}: no repeaters");
-            assert_eq!(tb.injection_route(), None, "{model:?}");
+            assert_eq!(tb.route_from_switch(), None, "{model:?}");
             assert!(tb.sensor().is_none(), "{model:?}");
             // The campaign surface the fuzzer drives: normal traffic, pump,
             // fault drain and factory restore.
